@@ -21,13 +21,14 @@ small Study per session and reuse it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 from repro.crawl.alexa import AlexaCrawler, AlexaRun
-from repro.crawl.classify import ClassifiedDataset, merge_classified_datasets
+from repro.crawl.classify import ClassifiedDataset
 from repro.crawl.httparchive import HarCorpus, HttpArchiveCrawler
 from repro.crawl.overlap import overlap_datasets
-from repro.crawl.shards import pending_items
+from repro.crawl.shards import CrawlShard, pending_items
 from repro.core.session import LifetimeModel
 from repro.evolve.policy import evolution_policy
 from repro.faults.plan import fault_profile, merge_counts
@@ -247,7 +248,9 @@ class Study:
                 config, cache, resume=resume, strict=strict
             )
         try:
-            study = cls._run(config, executor, timings, cache, runlog)
+            study = cls._run(
+                config, executor, timings, cache, runlog or RunContext.null()
+            )
             if runlog is not None:
                 study.coverage = (
                     runlog.finish() if owns_runlog else runlog.coverage()
@@ -265,8 +268,8 @@ class Study:
         config: StudyConfig,
         executor: Executor,
         timings: StageTimings,
-        cache: StudyCache | None = None,
-        runlog: RunContext | None = None,
+        cache: StudyCache | None,
+        runlog: RunContext,
     ) -> "Study":
         eco_config = config.ecosystem_config()
         world_cached = ecosystem_is_cached(eco_config)
@@ -304,127 +307,72 @@ class Study:
             ecosystem=ecosystem, seed=config.seed + 200,
             fault_profile=config.fault_profile,
         )
-        alexa_run: AlexaRun | None = None
-        alexa_nofetch: AlexaRun | None = None
-        fetch_plan = nofetch_plan = None
-        if "fetch" in config.alexa_variants:
-            fetch_plan = alexa_crawler.plan_shards(
-                alexa_domains, shards=n_shards, run_name="alexa-fetch",
-                cache=cache,
+        # The Fetch-compliant run and the privacy-mode-patched one.
+        alexa_runs: dict[str, AlexaRun] = {}
+        alexa_plans: dict[str, list[CrawlShard]] = {}
+        for variant, patch in (
+            ("fetch", {}),
+            ("nofetch", {"ignore_privacy_mode": True, "run_offset": 500_000.0}),
+        ):
+            if variant not in config.alexa_variants:
+                continue
+            run_name = f"alexa-{variant}"
+            plan = alexa_plans[variant] = alexa_crawler.plan_shards(
+                alexa_domains, shards=n_shards, run_name=run_name,
+                cache=cache, **patch,
             )
-            with timings.stage(
-                "crawl-alexa-fetch", items=pending_items(fetch_plan)
-            ):
-                alexa_run = alexa_crawler.run(
-                    alexa_domains, run_name="alexa-fetch", executor=executor,
-                    cache=cache, plan=fetch_plan, runlog=runlog,
-                )
-        if "nofetch" in config.alexa_variants:
-            nofetch_plan = alexa_crawler.plan_shards(
-                alexa_domains, shards=n_shards, run_name="alexa-nofetch",
-                ignore_privacy_mode=True, run_offset=500_000.0, cache=cache,
-            )
-            with timings.stage(
-                "crawl-alexa-nofetch", items=pending_items(nofetch_plan)
-            ):
-                alexa_nofetch = alexa_crawler.run(
-                    alexa_domains,
-                    run_name="alexa-nofetch",
-                    ignore_privacy_mode=True,
-                    run_offset=500_000.0,
-                    executor=executor,
-                    cache=cache,
-                    plan=nofetch_plan,
-                    runlog=runlog,
+            with timings.stage(f"crawl-{run_name}", items=pending_items(plan)):
+                alexa_runs[variant] = alexa_crawler.run(
+                    alexa_domains, run_name=run_name, executor=executor,
+                    cache=cache, plan=plan, runlog=runlog, **patch,
                 )
         # "We review the intersection of websites for comparability."
-        reachable_sets = [
-            set(run.reachable_sites)
-            for run in (alexa_run, alexa_nofetch)
-            if run is not None
-        ]
-        common = sorted(set.intersection(*reachable_sets))
+        common = sorted(set.intersection(*(
+            set(run.reachable_sites) for run in alexa_runs.values()
+        )))
 
-        # One classification job per (dataset, crawl shard): each job
-        # classifies its shard's sub-corpus under the shard's own cache
-        # key, and the per-dataset fold merges the partials.  With one
-        # shard the single partial *is* the dataset — the monolithic
-        # path, byte for byte.
-        dataset_specs: list[tuple[str, LifetimeModel, list]] = []
+        # One classification stage per dataset, with one shard per
+        # crawl shard.  A quarantined crawl shard has no data in the
+        # corpus: classifying its (empty) share would poison the cache
+        # under the full shard's classify key, so it is left out.
+        def live(plan: list[CrawlShard]) -> list[CrawlShard]:
+            return [
+                shard for shard in plan
+                if not runlog.is_quarantined(shard.key)
+            ]
+
+        jobs: list[tuple[str, list[CrawlShard], Callable]] = []
         for model_value in config.har_models:
             model = LifetimeModel(model_value)
             name = f"har-{model_value}"
-            shard_jobs = []
-            for shard in ha_plan:
-                # A quarantined crawl shard has no data in the corpus:
-                # classifying its (empty) view would poison the cache
-                # under the full shard's classify key, so the dataset
-                # simply folds without it.
-                if runlog is not None and runlog.is_quarantined(shard.key):
-                    continue
-                view = har_corpus.shard_view(shard)
-                key = (
-                    view.classify_cache_key(model, name)
-                    if cache is not None else None
-                )
-                shard_jobs.append((
-                    len(view.hars), key,
-                    lambda view=view, model=model, name=name, key=key:
-                        view.classify(
-                            model=model, asdb=asdb, name=name,
-                            executor=executor, cache=cache, cache_key=key,
-                        ),
-                ))
-            dataset_specs.append((name, model, shard_jobs))
-        alexa_datasets: list[tuple[AlexaRun, list, str, LifetimeModel]] = []
-        if alexa_run is not None:
-            alexa_datasets += [
-                (alexa_run, fetch_plan, "alexa-endless", LifetimeModel.ENDLESS),
-                (alexa_run, fetch_plan, "alexa", LifetimeModel.ACTUAL),
-            ]
-        if alexa_nofetch is not None:
-            alexa_datasets.append(
-                (alexa_nofetch, nofetch_plan, "alexa-nofetch",
-                 LifetimeModel.ACTUAL)
+            plan = har_corpus.classify_plan(
+                model, name, crawl_plan=live(ha_plan), cache=cache
             )
-        for run, run_plan, name, model in alexa_datasets:
-            shard_jobs = []
-            for shard in run_plan:
-                if runlog is not None and runlog.is_quarantined(shard.key):
-                    continue
-                members = set(shard.domains)
-                sites = [site for site in common if site in members]
-                view = run.shard_view(shard)
-                key = (
-                    view.classify_cache_key(model, name, sites)
-                    if cache is not None else None
+            jobs.append((name, plan, partial(har_corpus.classify, model=model)))
+        for variant, name, model in (
+            ("fetch", "alexa-endless", LifetimeModel.ENDLESS),
+            ("fetch", "alexa", LifetimeModel.ACTUAL),
+            ("nofetch", "alexa-nofetch", LifetimeModel.ACTUAL),
+        ):
+            if variant not in alexa_runs:
+                continue
+            run = alexa_runs[variant]
+            plan = run.classify_plan(
+                model, name, sites=common,
+                crawl_plan=live(alexa_plans[variant]), cache=cache,
+            )
+            jobs.append((name, plan, partial(run.classify, model=model)))
+        with timings.stage(
+            "classify-datasets",
+            items=sum(pending_items(plan) for _, plan, _ in jobs),
+        ):
+            datasets = {
+                name: classify(
+                    name=name, plan=plan, asdb=asdb, executor=executor,
+                    cache=cache, runlog=runlog,
                 )
-                shard_jobs.append((
-                    len(sites), key,
-                    lambda view=view, model=model, name=name, key=key,
-                    sites=sites:
-                        view.classify(
-                            model=model, asdb=asdb, name=name, sites=sites,
-                            executor=executor, cache=cache, cache_key=key,
-                        ),
-                ))
-            dataset_specs.append((name, model, shard_jobs))
-        n_classified = sum(
-            items
-            for _, _, shard_jobs in dataset_specs
-            for items, key, _ in shard_jobs
-            if key is None or not cache.contains("classify", key)
-        )
-        with timings.stage("classify-datasets", items=n_classified):
-            datasets = {}
-            for name, model, shard_jobs in dataset_specs:
-                partials = [job() for _, _, job in shard_jobs]
-                if len(partials) == 1:
-                    datasets[name] = partials[0]
-                else:
-                    datasets[name] = merge_classified_datasets(
-                        name, model, partials, asdb=asdb
-                    )
+                for name, plan, classify in jobs
+            }
         if "har-endless" in datasets and "alexa-endless" in datasets:
             with timings.stage("overlap"):
                 har_overlap, alexa_overlap = overlap_datasets(
@@ -437,8 +385,8 @@ class Study:
             config=config,
             ecosystem=ecosystem,
             har_corpus=har_corpus,
-            alexa_run=alexa_run,
-            alexa_nofetch_run=alexa_nofetch,
+            alexa_run=alexa_runs.get("fetch"),
+            alexa_nofetch_run=alexa_runs.get("nofetch"),
             alexa_common_sites=common,
             datasets=datasets,
             timings=timings,

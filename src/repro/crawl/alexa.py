@@ -21,11 +21,22 @@ gets its own time slot, browser and RNG streams derived from
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.browser.browser import BrowserConfig, ChromiumBrowser
-from repro.crawl.classify import ClassifiedDataset, classify_dataset
-from repro.crawl.shards import CrawlShard, plan_crawl_shards
+from repro.crawl.classify import (
+    ClassifiedDataset,
+    aggregate_classifications,
+    classify_item,
+    merge_classified_datasets,
+)
+from repro.crawl.shards import (
+    CrawlShard,
+    fold_provenance,
+    plan_crawl_shards,
+    run_sharded_stage,
+)
 from repro.core.session import LifetimeModel, SessionRecord
 from repro.faults.plan import FaultPlan, merge_counts
 from repro.netlog.events import NetLog
@@ -178,73 +189,90 @@ class AlexaRun:
         return sum(1 for m in self.measurements.values() if m.unreachable)
 
     def classify_cache_key(
-        self, model: LifetimeModel, name: str | None = None,
-        sites: list[str] | None = None,
+        self, shard: CrawlShard, model: LifetimeModel, name: str,
+        sites: list[str] | None,
     ) -> str | None:
-        """Cache key for one classification, or ``None`` without provenance."""
-        if self.provenance is None:
+        """Cache key for classifying one crawl shard, ``None`` uncached."""
+        if shard.key is None:
             return None
         return stable_key(
-            "classify-alexa", self.provenance, model.value,
-            name or f"{self.name}-{model.value}",
+            "classify-alexa", shard.key, model.value, name,
             tuple(sites) if sites is not None else None,
         )
+
+    def classify_plan(
+        self, model: LifetimeModel, name: str | None = None, *,
+        sites: list[str] | None = None,
+        crawl_plan: list[CrawlShard] | None = None,
+        cache: StudyCache | None = None,
+    ) -> list[CrawlShard]:
+        """The classification shards of (a subset of) the run.
+
+        One shard per crawl shard of ``crawl_plan``, over the shard's
+        reachable share of ``sites`` (default: every reachable site);
+        without a plan, one shard over the whole run keyed on its
+        provenance.  Keys are hashed only with a ``cache``.
+        """
+        name = name or f"{self.name}-{model.value}"
+        if crawl_plan is None:
+            crawl_plan = [CrawlShard(
+                index=0, domains=tuple(self.measurements), key=self.provenance
+            )]
+        plan = []
+        for shard in crawl_plan:
+            members = set(shard.domains)
+            chosen = [
+                site for site in (self.reachable_sites if sites is None
+                                  else sites)
+                if site in members
+            ]
+            key = self.classify_cache_key(
+                shard, model, name, None if sites is None else chosen
+            ) if cache is not None else None
+            plan.append(CrawlShard(
+                index=shard.index,
+                domains=tuple(
+                    site for site in chosen
+                    if not self.measurements[site].unreachable
+                ),
+                key=key,
+                cached=key is not None and cache.contains("classify", key),
+            ))
+        return plan
 
     def classify(
         self, *, model: LifetimeModel, asdb=None, name: str | None = None,
         sites: list[str] | None = None, executor: Executor | None = None,
-        cache: StudyCache | None = None, cache_key: str | None = None,
+        cache: StudyCache | None = None,
+        plan: list[CrawlShard] | None = None,
+        runlog: "RunContext | None" = None,
     ) -> ClassifiedDataset:
         """Classify (a subset of) the run under ``model``.
 
-        With a ``cache`` (and a crawler-set provenance) the classified
-        dataset is loaded from / stored to disk keyed on the crawl
-        configuration, the lifetime model and the site subset;
-        ``cache_key`` passes a precomputed key so callers that already
-        hashed the config for item accounting don't pay for it twice.
+        Runs as stage ``classify-<name>`` of the shard driver over
+        ``plan`` (default: one shard over ``sites`` of the whole run,
+        see :meth:`classify_plan`).  With a ``cache`` (and a
+        crawler-set provenance) each shard's dataset is loaded from /
+        stored to disk keyed on the crawl configuration, the lifetime
+        model and the site subset; a ``runlog`` journals, retries and
+        quarantines the shards like the crawls.
         """
-        key = cache_key
-        if key is None and cache is not None:
-            key = self.classify_cache_key(model, name, sites)
-        if key is not None:
-            cached = cache.get("classify", key)
-            if cached is not None:
-                return cached
-        chosen = sites if sites is not None else self.reachable_sites
-        site_records = {
-            domain: self.measurements[domain].records
-            for domain in chosen
-            if domain in self.measurements
-            and not self.measurements[domain].unreachable
-        }
-        dataset = classify_dataset(
-            name or f"{self.name}-{model.value}",
-            site_records,
-            model=model,
-            asdb=asdb,
-            executor=executor,
-        )
-        if key is not None:
-            cache.put("classify", key, dataset)
-        return dataset
-
-    def shard_view(self, shard: CrawlShard) -> "AlexaRun":
-        """The sub-run of one crawl shard, with shard provenance.
-
-        Measurements keep their run order restricted to the shard's
-        domains; provenance is the shard's own cache key, so per-shard
-        classifications cache under per-shard keys.
-        """
-        members = set(shard.domains)
-        return AlexaRun(
-            name=self.name,
-            ignore_privacy_mode=self.ignore_privacy_mode,
-            measurements={
-                domain: measurement
-                for domain, measurement in self.measurements.items()
-                if domain in members
-            },
-            provenance=shard.key,
+        name = name or f"{self.name}-{model.value}"
+        if plan is None:
+            plan = self.classify_plan(model, name, sites=sites, cache=cache)
+        return run_sharded_stage(
+            f"classify-{name}", "classify", plan, classify_item,
+            lambda shard: [
+                (site, self.measurements[site].records, model.value)
+                for site in shard.domains
+            ],
+            lambda shard, classified: aggregate_classifications(
+                name, model, zip(shard.domains, classified), asdb=asdb
+            ),
+            lambda parts: merge_classified_datasets(
+                name, model, parts, asdb=asdb
+            ),
+            executor=executor or SerialExecutor(), cache=cache, runlog=runlog,
         )
 
 
@@ -340,25 +368,13 @@ class AlexaCrawler:
         honor_origin_frame: bool = False,
         run_offset: float = 0.0,
         cache: StudyCache | None = None,
-        cache_key: str | None = None,
     ) -> list[CrawlShard]:
         """The deterministic shard plan for one run over ``domains``."""
-        if shards == 1 and cache_key is not None:
-            return [CrawlShard(
-                index=0, domains=tuple(domains),
-                offsets=tuple(range(len(domains))), key=cache_key,
-                cached=cache.contains("alexa-crawl", cache_key)
-                if cache is not None else False,
-            )]
-
-        def keyer(members: tuple[str, ...], offsets: tuple[int, ...]) -> str:
-            return self.shard_key(
-                members, offsets, run_name=run_name,
-                ignore_privacy_mode=ignore_privacy_mode,
-                honor_origin_frame=honor_origin_frame,
-                run_offset=run_offset,
-            )
-
+        keyer = partial(
+            self.shard_key, run_name=run_name,
+            ignore_privacy_mode=ignore_privacy_mode,
+            honor_origin_frame=honor_origin_frame, run_offset=run_offset,
+        )
         return plan_crawl_shards(
             domains, shards,
             keyer=keyer if cache is not None else None,
@@ -367,43 +383,6 @@ class AlexaCrawler:
                 if cache is not None else None
             ),
         )
-
-    def _site_task(
-        self, domain: str, offset: int, *, run_name: str,
-        ignore_privacy_mode: bool, honor_origin_frame: bool,
-        run_offset: float,
-    ) -> _AlexaSiteTask:
-        return _AlexaSiteTask(
-            ecosystem_config=self.ecosystem.config,
-            seed=self.seed,
-            run_name=run_name,
-            domain=domain,
-            start_time=(
-                self.start_time + run_offset + offset * self.site_slot_s
-            ),
-            vantage_country=self.vantage_country,
-            ignore_privacy_mode=ignore_privacy_mode,
-            honor_origin_frame=honor_origin_frame,
-            observe_s=self.observe_s,
-            permanent_unreachable_share=self.permanent_unreachable_share,
-            transient_unreachable_share=self.transient_unreachable_share,
-            keep_netlog=self.keep_netlogs,
-            fault_profile=self.fault_profile,
-        )
-
-    @staticmethod
-    def _shard_part(
-        shard: CrawlShard, results: list, *, run_name: str,
-        ignore_privacy_mode: bool,
-    ) -> AlexaRun:
-        """One shard's sub-run from its site measurements."""
-        part = AlexaRun(
-            name=run_name, ignore_privacy_mode=ignore_privacy_mode,
-            provenance=shard.key,
-        )
-        for measurement in results:
-            part.measurements[measurement.domain] = measurement
-        return part
 
     def run(
         self,
@@ -415,7 +394,6 @@ class AlexaCrawler:
         run_offset: float = 0.0,
         executor: Executor | None = None,
         cache: StudyCache | None = None,
-        cache_key: str | None = None,
         shards: int = 1,
         plan: list[CrawlShard] | None = None,
         runlog: "RunContext | None" = None,
@@ -424,97 +402,68 @@ class AlexaCrawler:
 
         With a ``cache``, shards previously crawled under an identical
         configuration load from disk and only the missing shards visit
-        any site; ``cache_key`` passes a precomputed :meth:`stage_key`
-        (1-shard runs), ``plan`` a precomputed :meth:`plan_shards`.
-        A ``runlog`` journals, retries and — on poison — quarantines
-        shards exactly like the HTTP Archive crawl.
+        any site; ``plan`` passes a precomputed :meth:`plan_shards`.
+        A ``runlog`` journals (as stage ``run_name``), retries and — on
+        poison — quarantines shards exactly like the HTTP Archive crawl.
         """
         if plan is None:
             plan = self.plan_shards(
                 domains, shards=shards, run_name=run_name,
                 ignore_privacy_mode=ignore_privacy_mode,
                 honor_origin_frame=honor_origin_frame,
-                run_offset=run_offset, cache=cache, cache_key=cache_key,
-            )
-        executor = executor or SerialExecutor()
-
-        def site_task(domain: str, offset: int) -> _AlexaSiteTask:
-            return self._site_task(
-                domain, offset, run_name=run_name,
-                ignore_privacy_mode=ignore_privacy_mode,
-                honor_origin_frame=honor_origin_frame,
-                run_offset=run_offset,
+                run_offset=run_offset, cache=cache,
             )
 
-        parts: dict[int, AlexaRun] = {}
-        pending: list[CrawlShard] = []
-        for shard in plan:
-            if shard.key is not None and cache is not None:
-                cached = cache.get("alexa-crawl", shard.key)
-                if cached is not None:
-                    parts[shard.index] = cached
-                    if runlog is not None:
-                        runlog.note_cached(run_name, shard)
-                    continue
-            pending.append(shard)
-        if pending and runlog is None:
+        def shard_tasks(shard: CrawlShard) -> list[_AlexaSiteTask]:
             prime_ecosystem(self.ecosystem)
-            tasks = [
-                site_task(domain, offset)
-                for shard in pending
+            return [
+                _AlexaSiteTask(
+                    ecosystem_config=self.ecosystem.config,
+                    seed=self.seed,
+                    run_name=run_name,
+                    domain=domain,
+                    start_time=(
+                        self.start_time + run_offset
+                        + offset * self.site_slot_s
+                    ),
+                    vantage_country=self.vantage_country,
+                    ignore_privacy_mode=ignore_privacy_mode,
+                    honor_origin_frame=honor_origin_frame,
+                    observe_s=self.observe_s,
+                    permanent_unreachable_share=(
+                        self.permanent_unreachable_share
+                    ),
+                    transient_unreachable_share=(
+                        self.transient_unreachable_share
+                    ),
+                    keep_netlog=self.keep_netlogs,
+                    fault_profile=self.fault_profile,
+                )
                 for domain, offset in zip(shard.domains, shard.offsets)
             ]
-            results = executor.map_sites(_measure_one_site, tasks)
-            position = 0
-            for shard in pending:
-                part = self._shard_part(
-                    shard, results[position:position + len(shard.domains)],
-                    run_name=run_name,
-                    ignore_privacy_mode=ignore_privacy_mode,
-                )
-                position += len(shard.domains)
-                if shard.key is not None and cache is not None:
-                    cache.put("alexa-crawl", shard.key, part)
-                parts[shard.index] = part
-        elif pending:
-            prime_ecosystem(self.ecosystem)
-            for shard in pending:
-                tasks = [
-                    site_task(domain, offset)
-                    for domain, offset in zip(shard.domains, shard.offsets)
-                ]
-                results = runlog.run_shard(
-                    run_name, shard, _measure_one_site, tasks,
-                    executor=executor,
-                    reattempt=lambda task, n: replace(task, attempt=n),
-                )
-                if results is None:  # poison quarantine: fold without it
-                    continue
-                part = self._shard_part(
-                    shard, results, run_name=run_name,
-                    ignore_privacy_mode=ignore_privacy_mode,
-                )
-                if shard.key is not None and cache is not None:
-                    path = cache.put("alexa-crawl", shard.key, part)
-                    runlog.maybe_rot(run_name, shard, path)
-                runlog.finish_shard(run_name, shard)
-                parts[shard.index] = part
-        if len(plan) == 1:
-            only = parts.get(plan[0].index)
-            return only if only is not None else AlexaRun(
-                name=run_name, ignore_privacy_mode=ignore_privacy_mode
+
+        def shard_part(
+            shard: CrawlShard, results: list[AlexaMeasurement]
+        ) -> AlexaRun:
+            return AlexaRun(
+                name=run_name, ignore_privacy_mode=ignore_privacy_mode,
+                measurements={
+                    measurement.domain: measurement for measurement in results
+                },
+                provenance=shard.key,
             )
-        included = [shard for shard in plan if shard.index in parts]
-        merged = AlexaRun(
-            name=run_name,
-            ignore_privacy_mode=ignore_privacy_mode,
-            provenance=stable_key(
-                "alexa-crawl-fold",
-                tuple(shard.key for shard in included),
-            ) if included and all(
-                shard.key is not None for shard in included
-            ) else None,
+
+        def fold(parts: list[AlexaRun]) -> AlexaRun:
+            merged = AlexaRun(
+                name=run_name, ignore_privacy_mode=ignore_privacy_mode,
+                provenance=fold_provenance("alexa-crawl", plan, parts),
+            )
+            for part in parts:
+                merged.measurements.update(part.measurements)
+            return merged
+
+        return run_sharded_stage(
+            run_name, "alexa-crawl", plan, _measure_one_site, shard_tasks,
+            shard_part, fold, executor=executor or SerialExecutor(), cache=cache,
+            runlog=runlog, reattempt=lambda task, n: replace(task, attempt=n),
         )
-        for shard in sorted(included, key=lambda shard: shard.index):
-            merged.measurements.update(parts[shard.index].measurements)
-        return merged

@@ -58,7 +58,7 @@ class ClassifiedDataset:
         return out
 
 
-def _classify_item(
+def classify_item(
     item: tuple[str, list[SessionRecord], str],
 ) -> SiteClassification:
     """Classify one site (runs inside an executor worker)."""
@@ -109,11 +109,15 @@ def merge_classified_datasets(
 
     Rebuilds the report and attribution index from the concatenated
     per-site classifications, so the merge is a pure function of the
-    partials' contents: folding one partial reproduces it, and folding
-    a disjoint site partition reproduces the monolithic aggregate.
-    Per-shard ``filter_stats`` (the HAR sanitisation counters) merge
-    additively when present.
+    partials' contents: folding a disjoint site partition reproduces
+    the monolithic aggregate.  A lone partial *is* the whole and is
+    returned as is — the 1-shard path, byte for byte.  Per-shard
+    ``filter_stats`` (the HAR sanitisation counters) merge additively
+    when present.
     """
+    partials = list(partials)
+    if len(partials) == 1:
+        return partials[0]
     pairs: list[tuple[str, SiteClassification]] = []
     stats = None
     for partial in partials:
@@ -141,7 +145,7 @@ def classify_dataset(
     executor = executor or SerialExecutor()
     sites = list(site_records)
     items = [(site, site_records[site], model.value) for site in sites]
-    classified = executor.map_sites(_classify_item, items)
+    classified = executor.map_sites(classify_item, items)
     return aggregate_classifications(
         name, model, zip(sites, classified), asdb=asdb
     )

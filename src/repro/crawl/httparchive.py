@@ -20,8 +20,17 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.browser.browser import BrowserConfig, ChromiumBrowser
-from repro.crawl.classify import ClassifiedDataset, aggregate_classifications
-from repro.crawl.shards import CrawlShard, plan_crawl_shards
+from repro.crawl.classify import (
+    ClassifiedDataset,
+    aggregate_classifications,
+    merge_classified_datasets,
+)
+from repro.crawl.shards import (
+    CrawlShard,
+    fold_provenance,
+    plan_crawl_shards,
+    run_sharded_stage,
+)
 from repro.core.classifier import SiteClassification, classify_site
 from repro.core.session import LifetimeModel
 from repro.faults.plan import FaultPlan, merge_counts
@@ -141,74 +150,86 @@ class HarCorpus:
     fault_counts: dict[str, int] = field(default_factory=dict)
 
     def classify_cache_key(
-        self, model: LifetimeModel, name: str | None = None
+        self, shard: CrawlShard, model: LifetimeModel, name: str
     ) -> str | None:
-        """Cache key for one classification, or ``None`` without provenance."""
-        if self.provenance is None:
+        """Cache key for classifying one crawl shard, ``None`` uncached."""
+        if shard.key is None:
             return None
-        return stable_key(
-            "classify-har", self.provenance, model.value,
-            name or f"{self.name}-{model.value}",
-        )
+        return stable_key("classify-har", shard.key, model.value, name)
+
+    def classify_plan(
+        self, model: LifetimeModel, name: str | None = None, *,
+        crawl_plan: list[CrawlShard] | None = None,
+        cache: StudyCache | None = None,
+    ) -> list[CrawlShard]:
+        """The classification shards of this corpus under ``model``.
+
+        One shard per crawl shard of ``crawl_plan``, over that shard's
+        HARs; without a plan, one shard over the whole corpus keyed on
+        its provenance.  Keys are hashed only with a ``cache``.
+        """
+        name = name or f"{self.name}-{model.value}"
+        if crawl_plan is None:
+            crawl_plan = [CrawlShard(
+                index=0, domains=tuple(self.hars), key=self.provenance
+            )]
+        plan = []
+        for shard in crawl_plan:
+            members = set(shard.domains)
+            key = (
+                self.classify_cache_key(shard, model, name)
+                if cache is not None else None
+            )
+            plan.append(CrawlShard(
+                index=shard.index,
+                domains=tuple(site for site in self.hars if site in members),
+                key=key,
+                cached=key is not None and cache.contains("classify", key),
+            ))
+        return plan
 
     def classify(
         self, *, model: LifetimeModel, asdb=None, name: str | None = None,
         executor: Executor | None = None, cache: StudyCache | None = None,
-        cache_key: str | None = None,
+        plan: list[CrawlShard] | None = None,
+        runlog: "RunContext | None" = None,
     ) -> ClassifiedDataset:
         """Sanitize all HARs and classify under ``model``.
 
-        With a ``cache`` (and a crawler-set provenance) the classified
-        dataset is loaded from / stored to disk keyed on the crawl
-        configuration plus the lifetime model; ``cache_key`` passes a
-        precomputed key so callers that already hashed the config for
-        item accounting don't pay for it twice.
+        Runs as stage ``classify-<name>`` of the shard driver over
+        ``plan`` (default: one shard over the whole corpus, see
+        :meth:`classify_plan`).  With a ``cache`` (and a crawler-set
+        provenance) each shard's dataset is loaded from / stored to
+        disk keyed on the crawl configuration plus the lifetime model;
+        a ``runlog`` journals, retries and quarantines the shards like
+        the crawls.
         """
-        key = cache_key
-        if key is None and cache is not None:
-            key = self.classify_cache_key(model, name)
-        if key is not None:
-            cached = cache.get("classify", key)
-            if cached is not None:
-                return cached
-        executor = executor or SerialExecutor()
-        items = [
-            (site, har, model.value) for site, har in self.hars.items()
-        ]
-        outcomes = executor.map_sites(_sanitize_and_classify, items)
-        stats = FilterStats()
-        for _, _, site_stats in outcomes:
-            stats.merge(site_stats)
-        dataset = aggregate_classifications(
-            name or f"{self.name}-{model.value}",
-            model,
-            [(site, classification) for site, classification, _ in outcomes],
-            asdb=asdb,
-        )
-        dataset.filter_stats = stats  # type: ignore[attr-defined]
-        if key is not None:
-            cache.put("classify", key, dataset)
-        return dataset
+        name = name or f"{self.name}-{model.value}"
+        if plan is None:
+            plan = self.classify_plan(model, name, cache=cache)
 
-    def shard_view(self, shard: CrawlShard) -> "HarCorpus":
-        """The sub-corpus of one crawl shard, with shard provenance.
+        def part(shard: CrawlShard, outcomes: list) -> ClassifiedDataset:
+            stats = FilterStats()
+            for _, _, site_stats in outcomes:
+                stats.merge(site_stats)
+            dataset = aggregate_classifications(
+                name, model,
+                [(site, classification) for site, classification, _ in outcomes],
+                asdb=asdb,
+            )
+            dataset.filter_stats = stats  # type: ignore[attr-defined]
+            return dataset
 
-        HARs keep their crawl order restricted to the shard's domains;
-        provenance is the shard's own cache key, so per-shard
-        classifications cache under per-shard keys.  Fault counts are
-        not split — the merged corpus keeps the study-wide totals.
-        """
-        members = set(shard.domains)
-        return HarCorpus(
-            name=self.name,
-            hars={
-                site: har for site, har in self.hars.items()
-                if site in members
-            },
-            unreachable=[
-                site for site in self.unreachable if site in members
+        return run_sharded_stage(
+            f"classify-{name}", "classify", plan, _sanitize_and_classify,
+            lambda shard: [
+                (site, self.hars[site], model.value) for site in shard.domains
             ],
-            provenance=shard.key,
+            part,
+            lambda parts: merge_classified_datasets(
+                name, model, parts, asdb=asdb
+            ),
+            executor=executor or SerialExecutor(), cache=cache, runlog=runlog,
         )
 
 
@@ -264,20 +285,12 @@ class HttpArchiveCrawler:
 
     def plan_shards(
         self, domains: list[str], *, shards: int = 1,
-        cache: StudyCache | None = None, cache_key: str | None = None,
+        cache: StudyCache | None = None,
     ) -> list[CrawlShard]:
         """The deterministic shard plan for a crawl over ``domains``.
 
-        Uncached plans skip key hashing entirely; ``cache_key`` passes
-        a precomputed whole-list key through to a 1-shard plan.
+        Uncached plans skip key hashing entirely.
         """
-        if shards == 1 and cache_key is not None:
-            return [CrawlShard(
-                index=0, domains=tuple(domains),
-                offsets=tuple(range(len(domains))), key=cache_key,
-                cached=cache.contains("har-crawl", cache_key)
-                if cache is not None else False,
-            )]
         return plan_crawl_shards(
             domains, shards,
             keyer=self.shard_key if cache is not None else None,
@@ -287,18 +300,23 @@ class HttpArchiveCrawler:
             ),
         )
 
-    def _site_task(self, domain: str, offset: int) -> _HaSiteTask:
-        return _HaSiteTask(
-            ecosystem_config=self.ecosystem.config,
-            seed=self.seed,
-            domain=domain,
-            start_time=self.start_time + offset * self.site_slot_s,
-            vantage_country=self.vantage_country,
-            noise=self.noise,
-            loads_per_site=self.loads_per_site,
-            observe_s=self.observe_s,
-            fault_profile=self.fault_profile,
-        )
+    def _shard_tasks(self, shard: CrawlShard) -> list[_HaSiteTask]:
+        """One worker task per site of ``shard``, at its global slot."""
+        prime_ecosystem(self.ecosystem)
+        return [
+            _HaSiteTask(
+                ecosystem_config=self.ecosystem.config,
+                seed=self.seed,
+                domain=domain,
+                start_time=self.start_time + offset * self.site_slot_s,
+                vantage_country=self.vantage_country,
+                noise=self.noise,
+                loads_per_site=self.loads_per_site,
+                observe_s=self.observe_s,
+                fault_profile=self.fault_profile,
+            )
+            for domain, offset in zip(shard.domains, shard.offsets)
+        ]
 
     @staticmethod
     def _shard_part(shard: CrawlShard, results: list) -> HarCorpus:
@@ -315,16 +333,14 @@ class HttpArchiveCrawler:
     def crawl(
         self, domains: list[str] | None = None,
         *, executor: Executor | None = None, cache: StudyCache | None = None,
-        cache_key: str | None = None, shards: int = 1,
-        plan: list[CrawlShard] | None = None,
+        shards: int = 1, plan: list[CrawlShard] | None = None,
         runlog: "RunContext | None" = None,
     ) -> HarCorpus:
         """Crawl ``domains`` (default: the ecosystem's CrUX-like sample).
 
         With a ``cache``, shards previously crawled under an identical
         configuration load from disk and only the missing shards visit
-        any site; ``cache_key`` passes a precomputed :meth:`stage_key`
-        (1-shard runs), ``plan`` a precomputed :meth:`plan_shards`.
+        any site; ``plan`` passes a precomputed :meth:`plan_shards`.
         The fold over shard sub-corpora is output-identical to the
         monolithic crawl for every shard count.
 
@@ -336,80 +352,27 @@ class HttpArchiveCrawler:
         if domains is None:
             domains = self.ecosystem.httparchive_sample(seed=self.seed)
         if plan is None:
-            plan = self.plan_shards(
-                domains, shards=shards, cache=cache, cache_key=cache_key
+            plan = self.plan_shards(domains, shards=shards, cache=cache)
+
+        def fold(parts: list[HarCorpus]) -> HarCorpus:
+            # Shards partition the domain list, so the union is
+            # lossless; everything downstream is order-insensitive (the
+            # digest sorts sites, counters add).
+            merged = HarCorpus(
+                name="httparchive",
+                provenance=fold_provenance("har-crawl", plan, parts),
             )
-        executor = executor or SerialExecutor()
-        parts: dict[int, HarCorpus] = {}
-        pending: list[CrawlShard] = []
-        for shard in plan:
-            if shard.key is not None and cache is not None:
-                cached = cache.get("har-crawl", shard.key)
-                if cached is not None:
-                    parts[shard.index] = cached
-                    if runlog is not None:
-                        runlog.note_cached("har-crawl", shard)
-                    continue
-            pending.append(shard)
-        if pending and runlog is None:
-            prime_ecosystem(self.ecosystem)
-            tasks = [
-                self._site_task(domain, offset)
-                for shard in pending
-                for domain, offset in zip(shard.domains, shard.offsets)
-            ]
-            results = executor.map_sites(_crawl_one_site, tasks)
-            position = 0
-            for shard in pending:
-                part = self._shard_part(
-                    shard, results[position:position + len(shard.domains)]
+            for part in parts:
+                merged.hars.update(part.hars)
+                merged.unreachable.extend(part.unreachable)
+                merge_counts(
+                    merged.fault_counts, tuple(part.fault_counts.items())
                 )
-                position += len(shard.domains)
-                if shard.key is not None and cache is not None:
-                    cache.put("har-crawl", shard.key, part)
-                parts[shard.index] = part
-        elif pending:
-            prime_ecosystem(self.ecosystem)
-            for shard in pending:
-                tasks = [
-                    self._site_task(domain, offset)
-                    for domain, offset in zip(shard.domains, shard.offsets)
-                ]
-                results = runlog.run_shard(
-                    "har-crawl", shard, _crawl_one_site, tasks,
-                    executor=executor,
-                    reattempt=lambda task, n: replace(task, attempt=n),
-                )
-                if results is None:  # poison quarantine: fold without it
-                    continue
-                part = self._shard_part(shard, results)
-                if shard.key is not None and cache is not None:
-                    path = cache.put("har-crawl", shard.key, part)
-                    runlog.maybe_rot("har-crawl", shard, path)
-                runlog.finish_shard("har-crawl", shard)
-                parts[shard.index] = part
-        if len(plan) == 1:
-            only = parts.get(plan[0].index)
-            return only if only is not None else HarCorpus(name="httparchive")
-        # Fold shard sub-corpora in bucket order.  Shards partition the
-        # domain list, so the union is lossless; everything downstream
-        # is order-insensitive (the digest sorts sites, counters add).
-        # Quarantined shards are simply absent; the fold provenance
-        # hashes the *included* keys, which equals the full-plan hash
-        # exactly when nothing was quarantined.
-        included = [shard for shard in plan if shard.index in parts]
-        merged = HarCorpus(
-            name="httparchive",
-            provenance=stable_key(
-                "har-crawl-fold",
-                tuple(shard.key for shard in included),
-            ) if included and all(
-                shard.key is not None for shard in included
-            ) else None,
+            return merged
+
+        return run_sharded_stage(
+            "har-crawl", "har-crawl", plan, _crawl_one_site, self._shard_tasks,
+            self._shard_part, fold, executor=executor or SerialExecutor(),
+            cache=cache, runlog=runlog,
+            reattempt=lambda task, n: replace(task, attempt=n),
         )
-        for shard in sorted(included, key=lambda shard: shard.index):
-            part = parts[shard.index]
-            merged.hars.update(part.hars)
-            merged.unreachable.extend(part.unreachable)
-            merge_counts(merged.fault_counts, tuple(part.fault_counts.items()))
-        return merged

@@ -22,16 +22,31 @@ Global schedule slots travel with the shard: site start times are
 positional in the *full* domain list, so a shard crawled alone must
 schedule its sites exactly where the monolithic crawl would have.
 That is what makes the N-shard fold byte-identical to the monolith.
+
+Both crawls and every dataset's classification run through one
+driver, :func:`run_sharded_stage`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
+from repro.runlog.context import RunContext
 from repro.runtime import shard_items
+from repro.store import stable_key
 
-__all__ = ["CrawlShard", "plan_crawl_shards", "pending_items"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime import Executor
+    from repro.store import StudyCache
+
+T = TypeVar("T")
+R = TypeVar("R")
+P = TypeVar("P")
+O = TypeVar("O")
+
+__all__ = ["CrawlShard", "plan_crawl_shards", "pending_items",
+           "fold_provenance", "run_sharded_stage"]
 
 
 @dataclass(frozen=True)
@@ -43,8 +58,9 @@ class CrawlShard:
     index: int
     #: The shard's domains, in global crawl order.
     domains: tuple[str, ...]
-    #: Each domain's slot in the full crawl schedule.
-    offsets: tuple[int, ...]
+    #: Each domain's slot in the full crawl schedule (empty for
+    #: classification shards, which schedule nothing).
+    offsets: tuple[int, ...] = ()
     #: Per-shard cache key; ``None`` on uncached runs.
     key: str | None = None
     #: Whether the artefact existed on disk at planning time (item
@@ -86,3 +102,66 @@ def plan_crawl_shards(
 def pending_items(plan: Sequence[CrawlShard]) -> int:
     """Sites the plan will actually crawl (cached shards count zero)."""
     return sum(len(shard.domains) for shard in plan if not shard.cached)
+
+
+def fold_provenance(
+    kind: str, plan: Sequence[CrawlShard], parts: Sequence
+) -> str | None:
+    """Provenance of a crawl fold over the ``parts`` that exist.
+
+    A 1-shard plan keeps its shard's key; otherwise the included part
+    keys hash together, which equals the full-plan hash exactly when
+    no shard was quarantined.  ``None`` on uncached runs.
+    """
+    keys = tuple(part.provenance for part in parts)
+    if not keys or None in keys:
+        return None
+    return keys[0] if len(plan) == 1 else stable_key(f"{kind}-fold", keys)
+
+
+def run_sharded_stage(
+    stage: str,
+    kind: str,
+    plan: Sequence[CrawlShard],
+    fn: Callable[[T], R],
+    tasks: Callable[[CrawlShard], list[T]],
+    part: Callable[[CrawlShard, list[R]], P],
+    fold: Callable[[list[P]], O],
+    *,
+    executor: "Executor",
+    cache: "StudyCache | None",
+    runlog: RunContext | None,
+    reattempt: Callable[[T, int], T] | None = None,
+) -> O:
+    """Run one sharded stage: probe, execute, cache, journal, fold.
+
+    ``stage`` names the stage in the run journal, ``kind`` its cache
+    namespace.  Each shard of ``plan`` either loads from ``cache``
+    under its key or runs ``fn`` over ``tasks(shard)`` through
+    ``runlog`` (``reattempt`` rewrites a task for a retry) and becomes
+    ``part(shard, results)``.  A quarantined shard contributes no
+    part; ``fold`` receives the parts in plan order.  Without a
+    ``runlog``, :meth:`RunContext.null` runs each shard as one plain
+    ``executor.map_sites``.
+    """
+    runlog = runlog or RunContext.null()
+    parts: list[P] = []
+    for shard in plan:
+        if shard.key is not None and cache is not None:
+            cached = cache.get(kind, shard.key)
+            if cached is not None:
+                runlog.note_cached(stage, shard)
+                parts.append(cached)
+                continue
+        results = runlog.run_shard(
+            stage, shard, fn, tasks(shard), executor=executor,
+            reattempt=reattempt,
+        )
+        if results is None:  # poison quarantine: fold without it
+            continue
+        built = part(shard, results)
+        if shard.key is not None and cache is not None:
+            runlog.maybe_rot(stage, shard, cache.put(kind, shard.key, built))
+        runlog.finish_shard(stage, shard)
+        parts.append(built)
+    return fold(parts)

@@ -20,6 +20,8 @@ beyond the tolerance (CI uses 0.25).
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,7 +66,19 @@ def load_bench(path: str | Path) -> dict:
 
 
 def _dump(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=1, sort_keys=False) + "\n")
+    """Write ``payload`` atomically (temp file, fsync, rename), creating
+    missing parent directories: a crash never truncates a trajectory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w") as stream:
+            stream.write(json.dumps(payload, indent=1, sort_keys=False) + "\n")
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(temp_name, path)
+    except BaseException:
+        os.unlink(temp_name)
+        raise
 
 
 def write_pipeline_bench(

@@ -1,16 +1,23 @@
 """The per-run orchestration object threaded through the pipeline.
 
 A :class:`RunContext` owns one run's journal, retry policy and
-quarantine bookkeeping.  The crawlers drive it per shard::
+quarantine bookkeeping.  Its one per-shard caller is the shard-stage
+driver, :func:`repro.crawl.shards.run_sharded_stage`, which runs both
+crawls (journal stages ``har-crawl``, ``alexa-fetch``,
+``alexa-nofetch``) and each dataset's classification
+(``classify-<dataset>``) alike::
 
-    results = runlog.run_shard(stage, shard, fn, tasks,
-                               executor=executor, reattempt=...)
-    if results is None:          # poison quarantine: fold without it
-        continue
-    ... build + cache the shard artefact ...
-    runlog.finish_shard(stage, shard)
+    if the cache has the shard:  runlog.note_cached(stage, shard)
+    else:
+        results = runlog.run_shard(stage, shard, fn, tasks, ...)
+        if results is not None:      # None: poison quarantine
+            ... build, cache.put, runlog.maybe_rot(stage, shard, path)
+            runlog.finish_shard(stage, shard)
 
-and the study driver closes the loop: it skips classification work for
+Cacheless runs get :meth:`RunContext.null`: no journal, ``run_shard``
+is one plain ``executor.map_sites``, every other hook does nothing.
+
+The study driver closes the loop: it skips classification shards of
 quarantined crawl shards (so no empty dataset is ever cached under a
 full shard's key), folds :meth:`RunContext.coverage` into the study's
 digest and reports, and appends the terminal ``run-finish`` record.
@@ -101,6 +108,11 @@ class RunContext:
         self._ok: set[str] = set()
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def null() -> "RunContext":
+        """The journal-less context of a cacheless run (shared, stateless)."""
+        return _NULL_CONTEXT
+
     @classmethod
     def for_study(
         cls,
@@ -294,3 +306,28 @@ class RunContext:
     def close(self) -> None:
         """Flush and release the journal (idempotent)."""
         self.journal.close()
+
+
+class _NullRunContext(RunContext):
+    """No journal, no retry, no quarantine: see :meth:`RunContext.null`."""
+
+    def __init__(self) -> None:
+        pass
+
+    def run_shard(self, stage, shard, fn, tasks, *, executor,
+                  reattempt=None):
+        return executor.map_sites(fn, tasks)
+
+    def finish_shard(self, stage, shard) -> None:
+        pass
+
+    note_cached = finish_shard
+
+    def is_quarantined(self, key) -> bool:
+        return False
+
+    def maybe_rot(self, stage, shard, path) -> bool:
+        return False
+
+
+_NULL_CONTEXT = _NullRunContext()

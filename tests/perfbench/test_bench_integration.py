@@ -62,6 +62,20 @@ class TestBenchCli:
         assert "PASS" in out
         assert "digest      identical" in out
 
+    def test_record_into_a_missing_nested_out_dir(self, tmp_path):
+        out_dir = tmp_path / "not" / "yet"
+        code = main([
+            "bench", "--scales", "smoke", "--repeat", "1",
+            "--out-dir", str(out_dir), "--label", "nested",
+            "--pipeline-only",
+        ])
+        assert code == 0
+        payload = load_bench(out_dir / "BENCH_pipeline.json")
+        assert payload["history"][-1]["label"] == "nested"
+        assert [path.name for path in out_dir.iterdir()] == [
+            "BENCH_pipeline.json"
+        ]
+
     def test_check_without_committed_file_errors(self, tmp_path, capsys):
         code = main([
             "bench", "--check", "--out-dir", str(tmp_path),

@@ -9,6 +9,8 @@ actually lost.
 
 from __future__ import annotations
 
+from collections import Counter
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from repro.analysis.digest import study_digest
 from repro.analysis.report import generate_report
 from repro.analysis.study import Study, StudyConfig
 from repro.runlog import WorkerCrashError, load_records, run_id
+from repro.runtime import SerialExecutor
 from repro.store import StudyCache
 
 GOLDEN_DIGEST = (
@@ -30,9 +33,63 @@ def _config(**overrides) -> StudyConfig:
     return replace(base, **overrides)
 
 
-def _journal_events(cache: StudyCache, config: StudyConfig) -> list[str]:
+#: Journalled shards per golden-config run at shards=4: each of the 3
+#: crawls has 4 shards, and each of the 5 classified datasets
+#: (har-endless, har-immediate, alexa-endless, alexa, alexa-nofetch)
+#: has one classification shard per crawl shard.
+CRAWL_SHARDS = 12
+CLASSIFY_SHARDS = 5 * 4
+
+
+def _journal_records(cache: StudyCache, config: StudyConfig) -> list[dict]:
     path = Path(cache.directory) / "runs" / f"{run_id(config)}.jsonl"
-    return [record["event"] for record in load_records(path)]
+    return load_records(path)
+
+
+def _journal_events(cache: StudyCache, config: StudyConfig) -> list[str]:
+    return [record["event"] for record in _journal_records(cache, config)]
+
+
+def _events_by_stage_kind(
+    cache: StudyCache, config: StudyConfig, event: str
+) -> Counter:
+    """How many ``event`` records crawl vs classify stages journalled."""
+    return Counter(
+        "classify" if record["stage"].startswith("classify-") else "crawl"
+        for record in _journal_records(cache, config)
+        if record["event"] == event
+    )
+
+
+class _ClassifyWorkerLoss(SerialExecutor):
+    """Loses its worker (``BrokenExecutor``) while classifying.
+
+    ``persistent=False`` fails only the first classify map of the run,
+    which a retry outlives.  ``persistent=True`` fails every classify
+    map that touches one site under the immediate lifetime model (the
+    first such site seen), so that dataset's shard exhausts its
+    attempts.  Crawl maps always run normally.
+    """
+
+    def __init__(self, *, persistent: bool) -> None:
+        self.persistent = persistent
+        self.failures = 0
+        self.target: str | None = None
+
+    def map_sites(self, fn, items, *, chunk_size=None):
+        items = list(items)
+        if "classify" in fn.__name__ and self._strikes(items):
+            self.failures += 1
+            raise BrokenExecutor("worker lost while classifying")
+        return super().map_sites(fn, items, chunk_size=chunk_size)
+
+    def _strikes(self, items: list) -> bool:
+        if not self.persistent:
+            return self.failures == 0
+        immediate = [site for site, _, model in items if model == "immediate"]
+        if self.target is None and immediate:
+            self.target = immediate[0]
+        return self.target in immediate
 
 
 @pytest.mark.slow
@@ -49,7 +106,9 @@ class TestInertness:
         events = _journal_events(cache, config)
         assert events[0] == "run-start"
         assert events[-1] == "run-finish"
-        assert events.count("shard-finish") == 12  # 4 shards x 3 crawls
+        assert _events_by_stage_kind(cache, config, "shard-finish") == {
+            "crawl": CRAWL_SHARDS, "classify": CLASSIFY_SHARDS,
+        }
 
     def test_warm_rerun_skips_and_digests_golden(self, tmp_path):
         config = _config()
@@ -57,9 +116,10 @@ class TestInertness:
         Study.run(config, cache=cache)
         study = Study.run(config, cache=cache)
         assert study_digest(study) == GOLDEN_DIGEST
-        events = _journal_events(cache, config)
-        assert events.count("shard-skip") == 12
-        assert events.count("shard-start") == 0
+        assert _events_by_stage_kind(cache, config, "shard-skip") == {
+            "crawl": CRAWL_SHARDS, "classify": CLASSIFY_SHARDS,
+        }
+        assert _journal_events(cache, config).count("shard-start") == 0
 
     def test_cacheless_run_has_no_coverage(self):
         study = Study.run(
@@ -86,6 +146,47 @@ class TestWorkerCrashRecovery:
         events = _journal_events(cache, config)
         assert "chunk-failed" in events  # crashes really happened
         assert "shard-quarantined" not in events
+
+    def test_classify_worker_loss_is_retried_to_golden(self, tmp_path):
+        """A worker lost mid-classification is retried like a crawl
+        worker: the run completes byte-identical to the golden."""
+        config = _config()
+        cache = StudyCache(tmp_path)
+        executor = _ClassifyWorkerLoss(persistent=False)
+        study = Study.run(config, cache=cache, executor=executor)
+        assert executor.failures == 1
+        assert study_digest(study) == GOLDEN_DIGEST
+        assert study.coverage.complete
+        failed = [
+            record for record in _journal_records(cache, config)
+            if record["event"] == "chunk-failed"
+        ]
+        assert [record["stage"][:9] for record in failed] == ["classify-"]
+        assert failed[0]["error"] == "BrokenExecutor"
+        assert "shard-quarantined" not in _journal_events(cache, config)
+
+    def test_persistent_classify_worker_loss_quarantines_the_shard(
+        self, tmp_path
+    ):
+        config = _config()
+        cache = StudyCache(tmp_path)
+        executor = _ClassifyWorkerLoss(persistent=True)
+        study = Study.run(config, cache=cache, executor=executor)
+        coverage = study.coverage
+        assert not coverage.complete
+        assert coverage.shards_quarantined == 1
+        assert executor.target in coverage.excluded_domains
+        assert executor.target not in (
+            study.datasets["har-immediate"].classifications
+        )
+        assert study_digest(study) != GOLDEN_DIGEST
+        quarantined = [
+            record for record in _journal_records(cache, config)
+            if record["event"] == "shard-quarantined"
+        ]
+        assert [record["stage"] for record in quarantined] == [
+            "classify-har-immediate"
+        ]
 
     def test_strict_mode_fails_fast_with_the_original_error(self, tmp_path):
         with pytest.raises(WorkerCrashError):
