@@ -5,7 +5,10 @@ study: the paper counts connections, groups them by destination IP,
 inspects their certificate SANs and their initially used domain, and
 asks which of them were redundant.  The connection therefore records
 exactly those observables, plus the stream/request log that the HAR and
-NetLog pipelines serialise.
+NetLog pipelines serialise.  Header bytes are not among them: requests
+carry their header list through the stream state machine but are never
+HPACK-encoded here; ``repro.perf.estimator`` owns header-byte
+accounting.
 
 Server interaction goes through the small :class:`ServerEndpoint`
 protocol implemented by ``repro.web.server.OriginServer`` — including
@@ -21,7 +24,6 @@ from typing import TYPE_CHECKING, Protocol
 
 from repro.faults.plan import FaultKind
 from repro.h2.errors import H2Error
-from repro.h2.hpack import HpackDecoder, HpackEncoder
 from repro.h2.settings import Http2Settings
 from repro.h2.stream import Http2Stream, StreamResetError
 from repro.tls.certificate import Certificate
@@ -99,7 +101,6 @@ class Http2Connection:
     protocol: str = "h2"
     # Http2Settings is frozen, so one default instance is safely shared
     # by every connection instead of being rebuilt per handshake.
-    local_settings: Http2Settings = field(default=_DEFAULT_SETTINGS)
     remote_settings: Http2Settings = field(default=_DEFAULT_SETTINGS)
     closed_at: float | None = None
     goaway_received: bool = False
@@ -121,26 +122,11 @@ class Http2Connection:
             raise ValueError(
                 f"connection IP {self.remote_ip} does not match server {self.server.ip}"
             )
-        self._encoder = HpackEncoder(self.remote_settings.header_table_size)
-        self._decoder_instance: HpackDecoder | None = None
         self._open_streams = 0
         self._last_activity = self.created_at
         # RFC 8336: the server may advertise additional origins at
         # session start; whether the client *uses* them is browser policy.
         self.origin_set.update(self.server.advertised_origins())
-
-    @property
-    def _decoder(self) -> HpackDecoder:
-        """The receive-direction HPACK state, built on first use.
-
-        The study's request path only ever exercises the encoder, so
-        most connections never pay for a second dynamic table.
-        """
-        if self._decoder_instance is None:
-            self._decoder_instance = HpackDecoder(
-                self.local_settings.header_table_size
-            )
-        return self._decoder_instance
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -178,10 +164,11 @@ class Http2Connection:
     def apply_remote_settings(self, settings: Http2Settings) -> None:
         """A SETTINGS frame from the peer replaces its parameters.
 
-        Only the stream-admission limits take effect here; HPACK table
-        resizes would need a table-size-update on the next header block,
-        which the byte-accounting encoder does not model, so the header
-        table size is pinned to the value negotiated at session start.
+        Only the stream-admission limits take effect here.  The header
+        table size stays pinned to the value negotiated at session start:
+        a resize only means something to an HPACK codec (a table-size
+        update on the next header block), and connections keep no HPACK
+        state, so a mid-session SETTINGS frame never changes it.
         """
         self.remote_settings = replace(
             settings,
@@ -211,7 +198,6 @@ class Http2Connection:
         now: float,
         method: str = "GET",
         with_credentials: bool = False,
-        extra_headers: list[tuple[str, str]] | None = None,
         service_time: float = 0.0,
     ) -> RequestRecord:
         """Multiplex one request over this connection.
@@ -260,8 +246,6 @@ class Http2Connection:
         ]
         if with_credentials:
             headers.append(("cookie", f"session={domain}"))
-        headers.extend(extra_headers or [])
-        self._encoder.encode(headers)  # byte accounting for HPACK studies
         stream.send_request(headers, now=now)
 
         if faults is not None and faults.fires(FaultKind.H2_RST_STREAM):
@@ -308,18 +292,6 @@ class Http2Connection:
     # ------------------------------------------------------------------
     # Introspection used by the classifier / reports
     # ------------------------------------------------------------------
-    @property
-    def hpack_compression_ratio(self) -> float:
-        return self._encoder.compression_ratio
-
-    @property
-    def hpack_bytes_emitted(self) -> int:
-        return self._encoder.bytes_emitted
-
-    @property
-    def hpack_bytes_uncompressed(self) -> int:
-        return self._encoder.bytes_uncompressed
-
     def last_activity(self) -> float:
         """Timestamp of the most recent request completion (or creation)."""
         return self._last_activity

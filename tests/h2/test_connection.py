@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.digest import study_digest
+from repro.analysis.study import Study, StudyConfig
 from repro.h2.connection import (
     HTTP_MISDIRECTED_REQUEST,
     ConnectionClosedError,
     Http2Connection,
 )
+from repro.h2.hpack import HpackEncoder
 from repro.h2.settings import Http2Settings
 from repro.tls.certificate import Certificate
 from repro.web.server import OriginServer
+
+_GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
 
 def _server(ip="10.0.0.1", domains=("example.com", "img.example.com"),
@@ -137,12 +144,16 @@ class TestConnectionLifecycle:
         conn.perform_request("example.com", "/", now=3.0, service_time=0.25)
         assert conn.last_activity() == 3.25
 
-    def test_hpack_accounting(self):
-        conn = _connection()
-        conn.perform_request("example.com", "/", now=0.0)
-        assert conn.hpack_bytes_uncompressed > 0
-        assert 0 < conn.hpack_compression_ratio <= 1.0
-        emitted_first = conn.hpack_bytes_emitted
-        conn.perform_request("example.com", "/", now=1.0)
-        # Second identical header set compresses better.
-        assert conn.hpack_bytes_emitted - emitted_first < emitted_first
+
+class TestRequestPathKeepsNoHpackState:
+    """Connections never HPACK-encode; ``perf/estimator.py`` accounts
+    header bytes on its own, so the study must not need the encoder."""
+
+    def test_golden_study_runs_without_the_encoder(self, monkeypatch):
+        def _refuse(self, headers):
+            raise AssertionError("HPACK encoding on the crawl's request path")
+
+        monkeypatch.setattr(HpackEncoder, "encode", _refuse)
+        study = Study.run(StudyConfig(seed=7, n_sites=120))
+        pinned = (_GOLDEN_DIR / "digest.txt").read_text().strip()
+        assert study_digest(study) == pinned

@@ -127,6 +127,20 @@ class TestEstimator:
         )
         assert estimate_records([record]).connections == 0
 
+    def test_repeated_headers_cheaper_on_warm_table(self):
+        one = estimate_records([
+            _record("a.com", "10.0.0.1", ["a.com"], 0.0,
+                    requests=[_request("a.com")]),
+        ])
+        two = estimate_records([
+            _record("a.com", "10.0.0.1", ["a.com"], 0.0,
+                    requests=[_request("a.com"), _request("a.com")]),
+        ])
+        assert one.header_bytes > 0
+        # The second identical header set hits the connection's dynamic
+        # table, so it costs less than the first.
+        assert two.header_bytes < 2 * one.header_bytes
+
 
 class TestCoalesce:
     def _redundant_site(self):
