@@ -43,6 +43,7 @@ from repro.runtime import (
     make_executor,
     null_timings,
 )
+from repro.runtime.gcpause import collector_paused
 from repro.store import StudyCache
 from repro.web.ecosystem import Ecosystem, EcosystemConfig
 
@@ -248,9 +249,11 @@ class Study:
                 config, cache, resume=resume, strict=strict
             )
         try:
-            study = cls._run(
-                config, executor, timings, cache, runlog or RunContext.null()
-            )
+            with collector_paused():
+                study = cls._run(
+                    config, executor, timings, cache,
+                    runlog or RunContext.null(),
+                )
             if runlog is not None:
                 study.coverage = (
                     runlog.finish() if owns_runlog else runlog.coverage()

@@ -8,6 +8,7 @@ benchmarks can show where executor parallelism pays off.
 
 from __future__ import annotations
 
+import gc
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -27,6 +28,9 @@ class StageTiming:
     #: Peak python heap allocation during the stage (tracemalloc), in
     #: KiB; ``None`` when the run did not track memory.
     peak_kb: int | None = None
+    #: Cyclic-collector passes (all generations) that ran during the
+    #: stage; the pipeline pauses the collector, so this stays 0.
+    gc_passes: int = 0
 
     @property
     def items_per_second(self) -> float | None:
@@ -84,11 +88,13 @@ class StageTimings:
                 owns_tracing = True
             tracemalloc.reset_peak()
             self._peak_stack.append(0)
+        passes_before = _gc_passes()
         started = time.perf_counter()
         try:
             yield
         finally:
             seconds = time.perf_counter() - started
+            gc_passes = _gc_passes() - passes_before
             if self.memory:
                 window_peak = tracemalloc.get_traced_memory()[1]
                 peak = max(self._peak_stack.pop(), window_peak)
@@ -100,7 +106,8 @@ class StageTimings:
                     tracemalloc.stop()
             self.stages.append(
                 StageTiming(
-                    name=name, seconds=seconds, items=items, peak_kb=peak_kb
+                    name=name, seconds=seconds, items=items, peak_kb=peak_kb,
+                    gc_passes=gc_passes,
                 )
             )
 
@@ -124,9 +131,11 @@ class StageTimings:
                     combined[stage.name] = StageTiming(
                         name=stage.name, seconds=stage.seconds,
                         items=stage.items, peak_kb=stage.peak_kb,
+                        gc_passes=stage.gc_passes,
                     )
                     continue
                 existing.seconds += stage.seconds
+                existing.gc_passes += stage.gc_passes
                 if stage.items is not None:
                     existing.items = (existing.items or 0) + stage.items
                 if stage.peak_kb is not None:
@@ -166,11 +175,17 @@ class StageTimings:
                 if rate is not None:
                     suffix += f", {rate:,.1f}/s"
                 suffix += ")"
+            if stage.gc_passes > 0:
+                suffix += f"  {stage.gc_passes} gc passes"
             lines.append(
                 f"  {stage.name:<{width}}  {stage.seconds:>8.3f} s{memory}{suffix}"
             )
         lines.append(f"  {'total':<{width}}  {self.total_seconds:>8.3f} s")
         return "\n".join(lines)
+
+
+def _gc_passes() -> int:
+    return sum(generation["collections"] for generation in gc.get_stats())
 
 
 def null_timings() -> StageTimings:

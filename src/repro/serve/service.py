@@ -24,12 +24,12 @@ import time
 from dataclasses import asdict
 from typing import Callable
 
-from repro.analysis.digest import study_digest
 from repro.analysis.study import Study, StudyConfig
 from repro.runlog import RunContext
 from repro.runlog.inspect import list_runs, render_run_detail
 from repro.runlog.journal import run_id
 from repro.runtime import StageTimings, make_executor
+from repro.runtime.gcpause import collector_paused
 from repro.serve.schema import SCHEMA_VERSION, StudyRequest, SweepRequest
 from repro.store import StudyCache
 from repro.sweep.runner import summarize_cell
@@ -246,6 +246,7 @@ class StudyService:
             stage.items == 0 for stage in measured
         )
 
+    @collector_paused()
     def run_study(self, request: StudyRequest, emit: Emit | None = None) -> dict:
         """Execute one study request; returns the response payload.
 
@@ -277,6 +278,7 @@ class StudyService:
             ],
         }
 
+    @collector_paused()
     def run_sweep(self, request: SweepRequest, emit: Emit | None = None) -> dict:
         """Execute one sweep request cell by cell, streaming progress."""
         cells = request.spec.cells()
