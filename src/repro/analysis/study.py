@@ -30,9 +30,9 @@ from repro.crawl.httparchive import HarCorpus, HttpArchiveCrawler
 from repro.crawl.overlap import overlap_datasets
 from repro.crawl.shards import CrawlShard, pending_items
 from repro.core.session import LifetimeModel
-from repro.evolve.policy import evolution_policy
-from repro.faults.plan import fault_profile, merge_counts
-from repro.h3.plan import h3_profile
+from repro.evolve.policy import POLICIES
+from repro.faults.plan import FAULTS
+from repro.h3.plan import H3_PROFILES
 from repro.dnsstudy.study import DnsLoadBalancingStudy, DnsStudyResult
 from repro.runlog import RunContext, RunCoverage
 from repro.runtime import (
@@ -45,6 +45,7 @@ from repro.runtime import (
 )
 from repro.runtime.gcpause import collector_paused
 from repro.store import StudyCache
+from repro.util.scenario import merge_counts
 from repro.web.ecosystem import Ecosystem, EcosystemConfig
 
 __all__ = ["StudyConfig", "Study", "DATASET_LABELS"]
@@ -156,9 +157,10 @@ class StudyConfig:
             raise ValueError(
                 f"duplicate alexa_variants in {self.alexa_variants!r}"
             )
-        fault_profile(self.fault_profile)  # raises ValueError on unknowns
-        evolution_policy(self.evolution_policy)  # raises on unknowns
-        h3_profile(self.h3_profile)  # raises ValueError on unknowns
+        # Each registry lookup raises ValueError on unknown names.
+        FAULTS.lookup(self.fault_profile)
+        POLICIES.lookup(self.evolution_policy)
+        H3_PROFILES.lookup(self.h3_profile)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.shards < 1:

@@ -39,14 +39,6 @@ class BrowserConfig:
     vantage_country: str = "DE"
     ignore_privacy_mode: bool = False
     honor_origin_frame: bool = False
-    #: The paper's crawls "disable QUIC to focus on HTTP/2 and avoid
-    #: switching between HTTP/3 and HTTP/2 after observing an alt-svc
-    #: header" (§4.2.2).  Enabling it makes alt-svc endpoints negotiate
-    #: h3 sessions, which the HAR pipeline then cannot attribute.
-    #: Independent of the world's ``h3_profile`` axis: a non-``none``
-    #: profile turns on alt-svc *discovery* dynamics in the pool (see
-    #: :mod:`repro.h3`) regardless of this flag.
-    disable_quic: bool = True
     #: Seconds the browser stays on the page after load (the paper's
     #: sessions were observed for minutes; most connections outlive the
     #: page load and a few are closed by server GOAWAYs).
@@ -154,7 +146,6 @@ class ChromiumBrowser:
             netlog=netlog,
             ignore_privacy_mode=self.config.ignore_privacy_mode,
             honor_origin_frame=self.config.honor_origin_frame,
-            enable_quic=not self.config.disable_quic,
             # The h3_profile axis activates discovery per-world, so the
             # per-site crawl tasks need no extra wiring (a process
             # worker rebuilding the world rebuilds this flag with it).

@@ -70,19 +70,14 @@ class ConnectionPool:
     netlog: NetLog | None = None
     ignore_privacy_mode: bool = False
     honor_origin_frame: bool = False
-    #: With QUIC enabled, connections to alt-svc-advertising endpoints
-    #: are established as HTTP/3 (protocol "h3"); the measurement
-    #: methodology excludes those, which is why the paper's crawls ran
-    #: with QUIC disabled.
-    enable_quic: bool = False
     #: Alt-svc *discovery* dynamics (the ``h3_profile`` axis, see
     #: :mod:`repro.h3`): the first contact with an advertising endpoint
     #: negotiates the server's ALPN protocol and remembers the alt-svc
     #: offer; subsequent connections for remembered hosts upgrade to h3
     #: — preferring an existing coalescable h3 session over a new one.
     #: This reproduces exactly the h2/h3 switching the paper disabled
-    #: QUIC to avoid (§4.2.2).  Independent of the legacy
-    #: ``enable_quic`` toggle, which upgrades on first contact.
+    #: QUIC to avoid (§4.2.2); without it every session is h2 (or
+    #: HTTP/1.1), as in the paper's crawls.
     h3_discovery: bool = False
     #: Optional fault plan: forwarded to every created connection, and
     #: (for profiles with TLS faults) turns on handshake certificate
@@ -279,15 +274,15 @@ class ConnectionPool:
                 trusted_issuers=_TRUSTED_ISSUERS,
             )
         protocol = server.alpn
-        advertises_h3 = getattr(server, "alt_svc_h3", False)
-        if self.h3_discovery:
-            # Discovery dynamics: only hosts with a *previously seen*
-            # alt-svc offer upgrade, and only when the endpoint the
-            # dice landed on still advertises (load-balanced pools may
-            # mix adopters and laggards).
-            if advertises_h3 and host in self._alt_svc_hosts:
-                protocol = "h3"
-        elif self.enable_quic and advertises_h3:
+        # Discovery dynamics: only hosts with a *previously seen* alt-svc
+        # offer upgrade, and only when the endpoint the dice landed on
+        # still advertises (load-balanced pools may mix adopters and
+        # laggards).
+        if (
+            self.h3_discovery
+            and host in self._alt_svc_hosts
+            and getattr(server, "alt_svc_h3", False)
+        ):
             protocol = "h3"
         session = Http2Connection(
             connection_id=self._next_connection_id,

@@ -38,13 +38,14 @@ from repro.crawl.shards import (
     run_sharded_stage,
 )
 from repro.core.session import LifetimeModel, SessionRecord
-from repro.faults.plan import FaultPlan, merge_counts
+from repro.faults.plan import FaultPlan
 from repro.netlog.events import NetLog
 from repro.netlog.parser import parse_sessions
 from repro.runtime import Executor, SerialExecutor, ecosystem_for, prime_ecosystem
 from repro.store import StudyCache, stable_key
 from repro.util.clock import SimClock
 from repro.util.rng import RngFactory, stable_hash
+from repro.util.scenario import merge_counts
 from repro.web.ecosystem import Ecosystem, EcosystemConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

@@ -33,7 +33,7 @@ from repro.crawl.shards import (
 )
 from repro.core.classifier import SiteClassification, classify_site
 from repro.core.session import LifetimeModel
-from repro.faults.plan import FaultPlan, merge_counts
+from repro.faults.plan import FaultPlan
 from repro.har.model import HarFile
 from repro.har.reader import FilterStats, read_sessions
 from repro.har.writer import HarNoiseConfig, write_har
@@ -41,6 +41,7 @@ from repro.runtime import Executor, SerialExecutor, ecosystem_for, prime_ecosyst
 from repro.store import StudyCache, stable_key
 from repro.util.clock import SimClock
 from repro.util.rng import RngFactory, stable_hash
+from repro.util.scenario import merge_counts
 from repro.web.ecosystem import Ecosystem, EcosystemConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

@@ -1,16 +1,17 @@
 """Deterministic temporal evolution of the synthetic ecosystem.
 
 The paper measures a single point in time; this package adds the time
-axis.  A named :class:`EvolutionPolicy` (``cert-rotation``,
-``dns-churn``, ``cdn-migration``, ``shard-consolidation``, ``mixed``)
-describes per-epoch churn rates; the engine applies them through the
-:class:`~repro.web.ecosystem.Ecosystem` mutation hooks, one
-:class:`EpochPlan` per ``(seed, epoch, domain)`` — the same RNG
-discipline :mod:`repro.faults` uses per ``(seed, run, domain)`` — so an
-evolved world is a pure, executor-independent function of its config.
+axis.  A named evolution policy in :data:`POLICIES` (``cert-rotation``,
+``dns-churn``, ``cdn-migration``, ``shard-consolidation``,
+``h3-rollout``, ``mixed``) describes per-epoch churn rates; the engine
+applies them through the :class:`~repro.web.ecosystem.Ecosystem`
+mutation hooks, one :class:`EpochPlan` per ``(seed, epoch, domain)`` —
+the same RNG discipline :mod:`repro.faults` uses per
+``(seed, run, domain)`` — so an evolved world is a pure,
+executor-independent function of its config.
 
->>> from repro.evolve import EpochPlan, evolution_policy
->>> evolution_policy("shard-consolidation").empty
+>>> from repro.evolve import POLICIES, EpochPlan
+>>> POLICIES.lookup("shard-consolidation").empty
 False
 >>> EpochPlan.compile("none", seed=7, epoch=2, domain="a.com") is None
 True
@@ -20,27 +21,15 @@ feeds :mod:`repro.analysis.longitudinal` (the ``repro evolve`` CLI).
 """
 
 from repro.evolve.engine import advance_epoch, evolve_ecosystem
-from repro.evolve.plan import EpochPlan, merge_churn
-from repro.evolve.policy import (
-    POLICIES,
-    ChurnKind,
-    ChurnSpec,
-    EvolutionPolicy,
-    evolution_policy,
-    policy_names,
-)
+from repro.evolve.plan import EpochPlan
+from repro.evolve.policy import POLICIES, ChurnKind
 from repro.evolve.runner import run_longitudinal
 
 __all__ = [
     "POLICIES",
     "ChurnKind",
-    "ChurnSpec",
     "EpochPlan",
-    "EvolutionPolicy",
     "advance_epoch",
-    "evolution_policy",
     "evolve_ecosystem",
-    "merge_churn",
-    "policy_names",
     "run_longitudinal",
 ]

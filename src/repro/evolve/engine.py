@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.evolve.plan import EpochPlan, merge_churn
-from repro.evolve.policy import ChurnKind, EvolutionPolicy, evolution_policy
+from repro.evolve.plan import EpochPlan
+from repro.evolve.policy import POLICIES, ChurnKind
+from repro.util.scenario import Scenario, merge_counts
 from repro.web.resources import RequestMode, ResourceType
 from repro.web.website import ShardingStyle, Website
 
@@ -53,7 +54,7 @@ def evolve_ecosystem(ecosystem: "Ecosystem") -> None:
     shard, whether an epoch-N artefact is still valid at epoch N+1
     (:meth:`Ecosystem.evolution_token`).
     """
-    policy = evolution_policy(ecosystem.config.evolution_policy)
+    policy = POLICIES.lookup(ecosystem.config.evolution_policy)
     ledger = list(ecosystem.evolution_ledger)
     touched_log = list(ecosystem.evolution_touched)
     for epoch in range(1, ecosystem.config.epoch + 1):
@@ -67,7 +68,7 @@ def evolve_ecosystem(ecosystem: "Ecosystem") -> None:
 
 def advance_epoch(
     ecosystem: "Ecosystem",
-    policy: EvolutionPolicy | str,
+    policy: Scenario | str,
     epoch: int,
     *,
     touched: set[str] | None = None,
@@ -81,8 +82,7 @@ def advance_epoch(
     conservative: a plan that fired counts as touching its domain even
     when the mutation was a structural no-op.
     """
-    if isinstance(policy, str):
-        policy = evolution_policy(policy)
+    policy = POLICIES.resolve(policy)
     totals: dict[str, int] = {}
     if policy.empty:
         return totals
@@ -102,14 +102,14 @@ def advance_epoch(
         counts = plan.counts()
         if counts and touched is not None:
             touched.add(site.domain)
-        merge_churn(totals, counts)
+        merge_counts(totals, counts)
     for name in ecosystem.namespace.names():
         plan = EpochPlan.compile(policy, seed=seed, epoch=epoch, domain=name)
         _evolve_dns_entry(ecosystem, name, plan)
         counts = plan.counts()
         if counts and touched is not None:
             touched.add(owners.get(name, name))
-        merge_churn(totals, counts)
+        merge_counts(totals, counts)
     return totals
 
 
@@ -306,7 +306,7 @@ def _evolve_dns_entry(
         plan.rng(ChurnKind.DNS_RESHUFFLE).shuffle(pool)
         changed = True
     if plan.fires(ChurnKind.DNS_RESALT):
-        salt = f"{entry.salt or name}+e{plan.epoch}"
+        salt = f"{entry.salt or name}+e{plan.unit}"
         changed = True
     if len(pool) > 1 and plan.fires(ChurnKind.DNS_NARROW):
         drop = max(1, int(plan.param(ChurnKind.DNS_NARROW, 1.0)))

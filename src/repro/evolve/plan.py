@@ -1,19 +1,15 @@
 """Per-unit epoch plans: the RNG discipline of the evolution engine.
 
-An :class:`EpochPlan` compiles one :class:`~repro.evolve.policy.EvolutionPolicy`
-for one ``(seed, epoch, domain)`` triple, exactly the way a
+An :class:`EpochPlan` compiles one evolution policy for one
+``(seed, epoch, domain)`` triple, exactly the way a
 :class:`~repro.faults.FaultPlan` compiles a fault profile for one
-``(seed, run, domain)``.  Every mutation decision the engine makes for
-a unit (a website, a DNS entry) draws from that unit's plan, and each
-:class:`~repro.evolve.policy.ChurnKind` owns an independent stream, so
-
-* epochs are **reproducible** — the evolved world is a pure function of
-  ``(ecosystem config, policy, epoch)``, rebuildable inside any process
-  worker;
-* units are **independent** — churn striking one domain never shifts
-  another domain's draws;
-* kinds are **independent** — tuning one mutation's rate leaves every
-  other kind's draw sequence untouched.
+``(seed, run, domain)``: both subclass
+:class:`~repro.util.scenario.SeededPlan`, so every mutation decision
+the engine makes for a unit (a website, a DNS entry) draws from that
+unit's per-:class:`~repro.evolve.policy.ChurnKind` stream.  Epochs are
+therefore reproducible (the evolved world is a pure function of
+``(ecosystem config, policy, epoch)``, rebuildable inside any process
+worker), and units and kinds are independent of each other.
 
 The empty policy (``"none"``) compiles to ``None`` so the engine's
 callers short-circuit before touching any RNG — a world evolved under
@@ -32,55 +28,25 @@ True
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from typing import ClassVar
 
-from repro.evolve.policy import ChurnKind, EvolutionPolicy, evolution_policy
-from repro.faults.plan import merge_counts
-from repro.util.rng import stable_hash
+from repro.evolve.policy import POLICIES
+from repro.util.scenario import Registry, Scenario, SeededPlan
 
-__all__ = ["EpochPlan", "merge_churn"]
-
-#: Fold one unit's fired-count tuple into a running ledger dict — the
-#: identical operation the fault taxonomy uses, so it IS that function.
-merge_churn = merge_counts
+__all__ = ["EpochPlan"]
 
 
-@dataclass
-class EpochPlan:
-    """A policy compiled for one unit (domain) of one epoch.
+class EpochPlan(SeededPlan):
+    """A policy compiled for one unit (``domain``) of one epoch
+    (``unit``); its fired-count tally feeds the per-epoch churn ledger
+    the longitudinal report renders."""
 
-    The plan owns one :class:`random.Random` stream *per churn kind*,
-    each seeded from ``(policy, kind, seed, epoch, domain)``, plus a
-    fired-count tally the engine aggregates into the per-epoch churn
-    ledger the longitudinal report renders.
-    """
-
-    policy: EvolutionPolicy
-    seed: int
-    epoch: int
-    domain: str
-    # thread-safe: one EpochPlan per (domain, epoch), consulted only by
-    # the single-threaded epoch application inside world generation.
-    _streams: dict[ChurnKind, random.Random] = field(
-        default_factory=dict, repr=False
-    )
-    # thread-safe: per-(domain, epoch), like _streams above.
-    _fired: dict[ChurnKind, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        for spec in self.policy.specs:
-            self._streams[spec.kind] = random.Random(
-                stable_hash(
-                    "evolve", self.policy.name, spec.kind.value,
-                    self.seed, self.epoch, self.domain,
-                )
-            )
+    TAG: ClassVar[str] = "evolve"
+    REGISTRY: ClassVar[Registry] = POLICIES
 
     @classmethod
     def compile(
-        cls, policy: EvolutionPolicy | str, *, seed: int, epoch: int,
-        domain: str,
+        cls, policy: Scenario | str, *, seed: int, epoch: int, domain: str
     ) -> "EpochPlan | None":
         """Compile ``policy`` for one unit; empty policies yield ``None``.
 
@@ -88,35 +54,4 @@ class EpochPlan:
         evolution machinery provably free when unused: the engine is
         never even entered for the ``"none"`` policy or for epoch 0.
         """
-        if isinstance(policy, str):
-            policy = evolution_policy(policy)
-        if policy.empty:
-            return None
-        return cls(policy=policy, seed=seed, epoch=epoch, domain=domain)
-
-    # ------------------------------------------------------------------
-    def fires(self, kind: ChurnKind) -> bool:
-        """Draw once: does mutation ``kind`` apply to this unit?"""
-        spec = self.policy.spec_for(kind)
-        if spec is None or spec.rate <= 0.0:
-            return False
-        if self._streams[kind].random() >= spec.rate:
-            return False
-        self._fired[kind] = self._fired.get(kind, 0) + 1
-        return True
-
-    def param(self, kind: ChurnKind, default: float = 0.0) -> float:
-        """The magnitude configured for ``kind`` (policy-level)."""
-        spec = self.policy.spec_for(kind)
-        return spec.param if spec is not None else default
-
-    def rng(self, kind: ChurnKind) -> random.Random:
-        """The kind's stream, for magnitude draws beyond fire/param
-        (which issuer, which hoster, shuffle orders, ...)."""
-        return self._streams[kind]
-
-    def counts(self) -> tuple[tuple[str, int], ...]:
-        """Fired counts as a stable ``(kind, n)`` tuple for the ledger."""
-        return tuple(
-            sorted((kind.value, n) for kind, n in self._fired.items())
-        )
+        return cls._compile(policy, seed, epoch, domain)

@@ -3,23 +3,24 @@
 The paper measures a single point in time, but everything its CERT /
 IP / CRED attribution hangs on — certificate SAN sets, DNS answer
 pools, credential modes, hosting providers — churns constantly on the
-real web.  An :class:`EvolutionPolicy` names that churn: a set of
-:class:`ChurnSpec` rates (one per :class:`ChurnKind`) which the engine
-(:mod:`repro.evolve.engine`) applies to the synthetic world once per
-*epoch*, exactly the way a :class:`~repro.faults.FaultProfile` names
+real web.  An evolution policy names that churn: a
+:class:`~repro.util.scenario.Scenario` of per-:class:`ChurnKind` rates
+which the engine (:mod:`repro.evolve.engine`) applies to the synthetic
+world once per *epoch*, exactly the way a fault profile names
 per-event failure rates.
 
-Policies are registered by name so they travel through ``StudyConfig``,
-the sweep grid and the study cache as plain strings:
+Policies are registered by name in :data:`POLICIES` so they travel
+through ``StudyConfig``, the sweep grid and the study cache as plain
+strings:
 
->>> from repro.evolve.policy import evolution_policy, policy_names
->>> policy_names()
+>>> from repro.evolve.policy import POLICIES
+>>> POLICIES.names()
 ['cdn-migration', 'cert-rotation', 'dns-churn', 'h3-rollout', 'mixed', 'none', 'shard-consolidation']
->>> evolution_policy("cert-rotation").empty
+>>> POLICIES.lookup("cert-rotation").empty
 False
->>> evolution_policy("none").empty
+>>> POLICIES.lookup("none").empty
 True
->>> evolution_policy("nope")
+>>> POLICIES.lookup("nope")
 Traceback (most recent call last):
     ...
 ValueError: unknown evolution policy 'nope'; registered policies: \
@@ -30,16 +31,10 @@ ValueError: unknown evolution policy 'nope'; registered policies: \
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-__all__ = [
-    "ChurnKind",
-    "ChurnSpec",
-    "EvolutionPolicy",
-    "POLICIES",
-    "evolution_policy",
-    "policy_names",
-]
+from repro.util.scenario import Registry, Scenario, Spec, halved
+
+__all__ = ["ChurnKind", "POLICIES"]
 
 
 class ChurnKind(enum.Enum):
@@ -80,148 +75,80 @@ DNS_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ChurnSpec:
-    """One mutation's per-epoch firing probability plus a magnitude.
-
-    ``rate`` is the per-unit (site or DNS entry) probability that the
-    mutation applies in a given epoch; ``param`` is kind-specific
-    (addresses dropped by a narrow, ...) and ignored by kinds that need
-    no magnitude.
-    """
-
-    kind: ChurnKind
-    rate: float
-    param: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"churn rate must be in [0, 1], got {self.rate}")
-
-
-@dataclass(frozen=True)
-class EvolutionPolicy:
-    """A named, immutable set of churn specs (one evolution scenario)."""
-
-    name: str
-    description: str
-    specs: tuple[ChurnSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        kinds = [spec.kind for spec in self.specs]
-        if len(set(kinds)) != len(kinds):
-            raise ValueError(f"duplicate churn kinds in policy {self.name!r}")
-        object.__setattr__(
-            self, "_spec_index", {spec.kind: spec for spec in self.specs}
-        )
-
-    @property
-    def empty(self) -> bool:
-        return not self.specs
-
-    @property
-    def kinds(self) -> frozenset[ChurnKind]:
-        return frozenset(spec.kind for spec in self.specs)
-
-    def spec_for(self, kind: ChurnKind) -> ChurnSpec | None:
-        return self._spec_index.get(kind)
-
-
-def _half(specs: tuple[ChurnSpec, ...]) -> tuple[ChurnSpec, ...]:
-    """The same specs at half rate (for the combined ``mixed`` policy)."""
-    return tuple(
-        ChurnSpec(kind=spec.kind, rate=spec.rate / 2.0, param=spec.param)
-        for spec in specs
-    )
-
-
 _CERT_ROTATION = (
     # Routine renewal dominates; SAN-set restructuring is rarer but is
     # what actually moves the CERT cause.
-    ChurnSpec(ChurnKind.CERT_ROTATE, rate=0.35),
-    ChurnSpec(ChurnKind.CERT_SPLIT, rate=0.06),
-    ChurnSpec(ChurnKind.CERT_MERGE, rate=0.10),
-    ChurnSpec(ChurnKind.CRED_REKEY, rate=0.08),
+    Spec(ChurnKind.CERT_ROTATE, rate=0.35),
+    Spec(ChurnKind.CERT_SPLIT, rate=0.06),
+    Spec(ChurnKind.CERT_MERGE, rate=0.10),
+    Spec(ChurnKind.CRED_REKEY, rate=0.08),
 )
 
 _DNS_CHURN = (
-    ChurnSpec(ChurnKind.DNS_RESHUFFLE, rate=0.30),
-    ChurnSpec(ChurnKind.DNS_RESALT, rate=0.15),
-    ChurnSpec(ChurnKind.DNS_NARROW, rate=0.06, param=1.0),
+    Spec(ChurnKind.DNS_RESHUFFLE, rate=0.30),
+    Spec(ChurnKind.DNS_RESALT, rate=0.15),
+    Spec(ChurnKind.DNS_NARROW, rate=0.06, param=1.0),
 )
 
 _CDN_MIGRATION = (
-    ChurnSpec(ChurnKind.CDN_MIGRATE, rate=0.12),
-    ChurnSpec(ChurnKind.ORIGIN_FLIP, rate=0.10),
-    ChurnSpec(ChurnKind.DNS_RESHUFFLE, rate=0.10),
+    Spec(ChurnKind.CDN_MIGRATE, rate=0.12),
+    Spec(ChurnKind.ORIGIN_FLIP, rate=0.10),
+    Spec(ChurnKind.DNS_RESHUFFLE, rate=0.10),
 )
 
 _SHARD_CONSOLIDATION = (
-    ChurnSpec(ChurnKind.SHARD_DROP, rate=0.18),
-    ChurnSpec(ChurnKind.CERT_MERGE, rate=0.10),
+    Spec(ChurnKind.SHARD_DROP, rate=0.18),
+    Spec(ChurnKind.CERT_MERGE, rate=0.10),
 )
 
 #: The named policy registry.  ``"none"`` is the inert default: every
 #: study runs against the pristine epoch-0 world unless churn is
 #: explicitly requested.
-POLICIES: dict[str, EvolutionPolicy] = {
-    policy.name: policy
-    for policy in (
-        EvolutionPolicy("none", "no churn (the frozen-world baseline)"),
-        EvolutionPolicy(
+POLICIES = Registry(
+    "evolution policy",
+    "policies",
+    (
+        Scenario("none", "no churn (the frozen-world baseline)"),
+        Scenario(
             "cert-rotation",
             "certificates renew, SAN sets split and merge, services "
             "re-key their credential modes",
             _CERT_ROTATION,
         ),
-        EvolutionPolicy(
+        Scenario(
             "dns-churn",
             "answer pools reshuffle, rotation salts re-key, pools narrow",
             _DNS_CHURN,
         ),
-        EvolutionPolicy(
+        Scenario(
             "cdn-migration",
             "sites move to new hosting fleets; ORIGIN-frame advertisement "
             "flips; answers churn in the wake",
             _CDN_MIGRATION,
         ),
-        EvolutionPolicy(
+        Scenario(
             "shard-consolidation",
             "sharded sites fold their shards back into the root domain "
             "(reuse opportunities decay)",
             _SHARD_CONSOLIDATION,
         ),
-        EvolutionPolicy(
+        Scenario(
             "h3-rollout",
             "site fleets light up alt-svc h3 advertisement epoch over "
             "epoch (pairs with the h3_profile study axis; deliberately "
             "absent from 'mixed' so the longitudinal golden stays h2)",
-            (ChurnSpec(ChurnKind.H3_ROLLOUT, rate=0.15),),
+            (Spec(ChurnKind.H3_ROLLOUT, rate=0.15),),
         ),
-        EvolutionPolicy(
+        Scenario(
             "mixed",
             "every churn axis at half rate (the canonical "
             "longitudinal-golden scenario)",
             # One spec per kind: the overlap kinds (DNS_RESHUFFLE,
             # CERT_MERGE) take their primary policy's rate.
-            _half(_CERT_ROTATION) + _half(_DNS_CHURN)
-            + _half(_CDN_MIGRATION[:2]) + _half(_SHARD_CONSOLIDATION[:1]),
+            halved(
+                _CERT_ROTATION + _DNS_CHURN + _CDN_MIGRATION[:2]
+                + _SHARD_CONSOLIDATION[:1]
+            ),
         ),
-    )
-}
-
-
-def policy_names() -> list[str]:
-    """Registered policy names, for CLI help and validation messages."""
-    return sorted(POLICIES)
-
-
-def evolution_policy(name: str) -> EvolutionPolicy:
-    """Look up a registered policy; raises ``ValueError`` on unknowns."""
-    policy = POLICIES.get(name)
-    if policy is None:
-        raise ValueError(
-            f"unknown evolution policy {name!r}; registered policies: "
-            f"{policy_names()}"
-        )
-    return policy
+    ),
+)

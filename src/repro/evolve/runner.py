@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
-from repro.evolve.policy import evolution_policy
+from repro.evolve.policy import POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.longitudinal import LongitudinalResult
@@ -64,7 +64,7 @@ def run_longitudinal(
     )
     from repro.analysis.study import Study
 
-    evolution_policy(policy)  # fail fast on unknown names
+    POLICIES.lookup(policy)  # fail fast on unknown names
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     base = replace(config, evolution_policy=policy, epochs=0)

@@ -6,24 +6,6 @@ errors live with their layers (``repro.dns.resolver``,
 without importing the fault machinery.
 """
 
-from repro.faults.plan import (
-    PROFILES,
-    FaultKind,
-    FaultPlan,
-    FaultProfile,
-    FaultSpec,
-    fault_profile,
-    merge_counts,
-    profile_names,
-)
+from repro.faults.plan import FAULTS, FaultKind, FaultPlan
 
-__all__ = [
-    "PROFILES",
-    "FaultKind",
-    "FaultPlan",
-    "FaultProfile",
-    "FaultSpec",
-    "fault_profile",
-    "merge_counts",
-    "profile_names",
-]
+__all__ = ["FAULTS", "FaultKind", "FaultPlan"]

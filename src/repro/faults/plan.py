@@ -5,32 +5,28 @@ every DNS answer arrives, every certificate verifies, every HTTP/2
 stream completes.  This module is the seeded chaos layer that changes
 that — *without* giving up reproducibility.
 
-A :class:`FaultProfile` names a set of :class:`FaultSpec` rates (one per
-:class:`FaultKind`); a :class:`FaultPlan` compiles a profile for one
-``(seed, run, domain)`` triple, exactly like the per-site crawl tasks
-derive their RNG streams.  Every hook point in the stack asks the plan
-``fires(kind)`` at the moment the corresponding real-world failure
-could occur; the plan draws from a *per-kind* stream, so studies are
-
-* executor-independent — the plan is rebuilt identically inside any
-  worker from the task's ``(profile, seed, run, domain)``;
-* per-site independent — one site's faults never shift another's;
-* per-kind independent — tuning one fault's rate leaves the draw
-  sequences of every other kind untouched.
+A fault profile is a :class:`~repro.util.scenario.Scenario` of
+per-:class:`FaultKind` rates registered in :data:`FAULTS`; a
+:class:`FaultPlan` compiles a profile for one ``(seed, run, domain)``
+triple, exactly like the per-site crawl tasks derive their RNG streams.
+Every hook point in the stack asks the plan ``fires(kind)`` at the
+moment the corresponding real-world failure could occur; the plan draws
+from a *per-kind* stream (see :class:`~repro.util.scenario.SeededPlan`),
+so studies are executor-, per-site and per-kind independent.
 
 The empty profile (``"none"``) compiles to ``None``: hook points
 short-circuit on ``plan is None`` before touching any RNG, so a study
 without faults is byte-identical to one built before this module
 existed (the pinned golden digest proves it).
 
->>> from repro.faults import FaultPlan, fault_profile, profile_names
->>> profile_names()
+>>> from repro.faults import FAULTS, FaultPlan
+>>> FAULTS.names()
 ['broken-tls', 'cache-rot', 'chaos', 'flaky-dns', 'h2-churn', 'none', 'slow-origin', 'worker-crash', 'worker-poison']
 >>> FaultPlan.compile("none", seed=7, run="alexa-fetch", domain="a.com") is None
 True
 >>> plan = FaultPlan.compile("chaos", seed=7, run="alexa-fetch", domain="a.com")
 >>> again = FaultPlan.compile("chaos", seed=7, run="alexa-fetch", domain="a.com")
->>> kind = next(iter(sorted(fault_profile("chaos").kinds, key=lambda k: k.value)))
+>>> kind = min(FAULTS.lookup("chaos").kinds, key=lambda k: k.value)
 >>> [plan.fires(kind) for _ in range(8)] == [again.fires(kind) for _ in range(8)]
 True
 """
@@ -38,20 +34,12 @@ True
 from __future__ import annotations
 
 import enum
-import random
-from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.util.rng import stable_hash
+from repro.util.scenario import Registry, Scenario, SeededPlan, Spec, halved
 
-__all__ = [
-    "FaultKind",
-    "FaultSpec",
-    "FaultProfile",
-    "FaultPlan",
-    "PROFILES",
-    "fault_profile",
-    "profile_names",
-]
+__all__ = ["FAULTS", "FaultKind", "FaultPlan"]
 
 
 class FaultKind(enum.Enum):
@@ -92,205 +80,111 @@ _TLS_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """One fault's injection rate plus a kind-specific magnitude.
-
-    ``rate`` is the per-event firing probability; ``param`` means
-    different things per kind (latency multiplier, burst length,
-    surviving-answer count, truncation factor, new stream limit) and is
-    ignored by kinds that need no magnitude.
-    """
-
-    kind: FaultKind
-    rate: float
-    param: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"fault rate must be in [0, 1], got {self.rate}")
-
-
-@dataclass(frozen=True)
-class FaultProfile:
-    """A named, immutable set of fault specs (a scenario)."""
-
-    name: str
-    description: str
-    specs: tuple[FaultSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        kinds = [spec.kind for spec in self.specs]
-        if len(set(kinds)) != len(kinds):
-            raise ValueError(f"duplicate fault kinds in profile {self.name!r}")
-        # spec_for sits on the per-request hot path (every hook consult
-        # goes through it), so index the specs once instead of scanning
-        # the tuple per call.
-        object.__setattr__(
-            self, "_spec_index", {spec.kind: spec for spec in self.specs}
-        )
-
-    @property
-    def empty(self) -> bool:
-        return not self.specs
-
-    @property
-    def kinds(self) -> frozenset[FaultKind]:
-        return frozenset(spec.kind for spec in self.specs)
-
-    def spec_for(self, kind: FaultKind) -> FaultSpec | None:
-        return self._spec_index.get(kind)
-
-
-def _half(specs: tuple[FaultSpec, ...]) -> tuple[FaultSpec, ...]:
-    """The same specs at half rate (for the combined chaos profile)."""
-    return tuple(
-        FaultSpec(kind=spec.kind, rate=spec.rate / 2.0, param=spec.param)
-        for spec in specs
-    )
-
-
 _FLAKY_DNS = (
-    FaultSpec(FaultKind.DNS_TIMEOUT, rate=0.06),
-    FaultSpec(FaultKind.DNS_SERVFAIL, rate=0.05),
-    FaultSpec(FaultKind.DNS_NXDOMAIN, rate=0.02),
-    FaultSpec(FaultKind.DNS_STALE_TTL, rate=0.25),
-    FaultSpec(FaultKind.DNS_NARROWED, rate=0.15, param=1.0),
+    Spec(FaultKind.DNS_TIMEOUT, rate=0.06),
+    Spec(FaultKind.DNS_SERVFAIL, rate=0.05),
+    Spec(FaultKind.DNS_NXDOMAIN, rate=0.02),
+    Spec(FaultKind.DNS_STALE_TTL, rate=0.25),
+    Spec(FaultKind.DNS_NARROWED, rate=0.15, param=1.0),
 )
 
 _BROKEN_TLS = (
-    FaultSpec(FaultKind.TLS_EXPIRED, rate=0.05),
-    FaultSpec(FaultKind.TLS_SAN_MISMATCH, rate=0.04),
-    FaultSpec(FaultKind.TLS_UNTRUSTED_ISSUER, rate=0.03),
+    Spec(FaultKind.TLS_EXPIRED, rate=0.05),
+    Spec(FaultKind.TLS_SAN_MISMATCH, rate=0.04),
+    Spec(FaultKind.TLS_UNTRUSTED_ISSUER, rate=0.03),
 )
 
 _H2_CHURN = (
-    FaultSpec(FaultKind.H2_GOAWAY, rate=0.04),
-    FaultSpec(FaultKind.H2_RST_STREAM, rate=0.05),
-    FaultSpec(FaultKind.H2_SETTINGS_CHURN, rate=0.03, param=0.0),
+    Spec(FaultKind.H2_GOAWAY, rate=0.04),
+    Spec(FaultKind.H2_RST_STREAM, rate=0.05),
+    Spec(FaultKind.H2_SETTINGS_CHURN, rate=0.03, param=0.0),
 )
 
 _SLOW_ORIGIN = (
-    FaultSpec(FaultKind.SRV_LATENCY_SPIKE, rate=0.10, param=25.0),
-    FaultSpec(FaultKind.SRV_ERROR_BURST, rate=0.04, param=3.0),
-    FaultSpec(FaultKind.SRV_TRUNCATED_BODY, rate=0.05, param=0.25),
+    Spec(FaultKind.SRV_LATENCY_SPIKE, rate=0.10, param=25.0),
+    Spec(FaultKind.SRV_ERROR_BURST, rate=0.04, param=3.0),
+    Spec(FaultKind.SRV_TRUNCATED_BODY, rate=0.05, param=0.25),
 )
 
 #: The named scenario registry.  ``"none"`` is the inert default every
 #: study runs under unless a fault profile is explicitly requested.
-PROFILES: dict[str, FaultProfile] = {
-    profile.name: profile
-    for profile in (
-        FaultProfile("none", "no injected faults (the baseline)"),
-        FaultProfile(
+FAULTS = Registry(
+    "fault profile",
+    "profiles",
+    (
+        Scenario("none", "no injected faults (the baseline)"),
+        Scenario(
             "flaky-dns",
             "SERVFAIL/NXDOMAIN/timeouts, stale-TTL answers, narrowed "
             "load-balancer pools",
             _FLAKY_DNS,
         ),
-        FaultProfile(
+        Scenario(
             "broken-tls",
             "expired leaves, SAN mismatches and untrusted issuers at "
             "handshake time",
             _BROKEN_TLS,
         ),
-        FaultProfile(
+        Scenario(
             "h2-churn",
             "mid-stream GOAWAYs, RST_STREAMs and SETTINGS churn forcing "
             "connection turnover",
             _H2_CHURN,
         ),
-        FaultProfile(
+        Scenario(
             "slow-origin",
             "origin latency spikes, 5xx bursts and truncated bodies",
             _SLOW_ORIGIN,
         ),
-        FaultProfile(
+        Scenario(
             "chaos",
             "every fault axis at half rate (the canonical faulted-golden "
             "scenario)",
-            _half(_FLAKY_DNS) + _half(_BROKEN_TLS) + _half(_H2_CHURN)
-            + _half(_SLOW_ORIGIN),
+            halved(_FLAKY_DNS + _BROKEN_TLS + _H2_CHURN + _SLOW_ORIGIN),
         ),
         # The task-level profiles below drive the repro.runlog tests;
         # they are deliberately absent from "chaos" because task faults
         # require the run layer to recover them, while chaos must stay
         # runnable through a bare executor (the faulted golden pins it).
-        FaultProfile(
+        Scenario(
             "worker-crash",
             "a quarter of site tasks crash their worker once, then "
             "succeed on retry (recoverable; digests like 'none')",
-            (FaultSpec(FaultKind.TASK_WORKER_CRASH, rate=0.25, param=1.0),),
+            (Spec(FaultKind.TASK_WORKER_CRASH, rate=0.25, param=1.0),),
         ),
-        FaultProfile(
+        Scenario(
             "worker-poison",
             "a small share of site tasks crash their worker on every "
             "attempt, forcing poison quarantine",
-            (FaultSpec(FaultKind.TASK_WORKER_CRASH, rate=0.02,
-                       param=1_000_000.0),),
+            (Spec(FaultKind.TASK_WORKER_CRASH, rate=0.02,
+                  param=1_000_000.0),),
         ),
-        FaultProfile(
+        Scenario(
             "cache-rot",
             "most freshly written shard artefacts are truncated on disk "
             "(recoverable: corrupt entries evict and recompute)",
-            (FaultSpec(FaultKind.TASK_CACHE_ROT, rate=0.6, param=0.5),),
+            (Spec(FaultKind.TASK_CACHE_ROT, rate=0.6, param=0.5),),
         ),
-    )
-}
+    ),
+)
 
 
-def profile_names() -> list[str]:
-    """Registered profile names, for CLI help and validation messages."""
-    return sorted(PROFILES)
+class FaultPlan(SeededPlan):
+    """A fault profile compiled for one site (``domain``) of one crawl
+    run (``unit``).
 
-
-def fault_profile(name: str) -> FaultProfile:
-    """Look up a registered profile; raises ``ValueError`` on unknowns."""
-    profile = PROFILES.get(name)
-    if profile is None:
-        raise ValueError(
-            f"unknown fault profile {name!r}; registered profiles: "
-            f"{profile_names()}"
-        )
-    return profile
-
-
-@dataclass
-class FaultPlan:
-    """A profile compiled for one site of one run.
-
-    The plan owns one :class:`random.Random` stream *per fault kind*,
-    each seeded from ``(profile, kind, seed, run, domain)``, plus a
-    fired-count tally that the crawlers aggregate into the resilience
-    taxonomy.  Hook points must only ever consult the plan at moments
-    that are themselves deterministic within a site's visit (the whole
-    visit is single-threaded), which keeps every draw reproducible.
+    Hook points must only ever consult the plan at moments that are
+    themselves deterministic within a site's visit (the whole visit is
+    single-threaded, one plan per visit), which keeps every draw
+    reproducible.  The fired-count tally feeds the resilience taxonomy.
     """
 
-    profile: FaultProfile
-    seed: int
-    run: str
-    domain: str
-    # thread-safe: one FaultPlan per (run, domain) visit, and a visit
-    # runs entirely on one executor task (see class docstring).
-    _streams: dict[FaultKind, random.Random] = field(
-        default_factory=dict, repr=False
-    )
-    # thread-safe: per-visit, like _streams above.
-    _fired: dict[FaultKind, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        for spec in self.profile.specs:
-            self._streams[spec.kind] = random.Random(
-                stable_hash(
-                    "fault", self.profile.name, spec.kind.value,
-                    self.seed, self.run, self.domain,
-                )
-            )
+    TAG: ClassVar[str] = "fault"
+    REGISTRY: ClassVar[Registry] = FAULTS
 
     @classmethod
     def compile(
-        cls, profile: FaultProfile | str, *, seed: int, run: str, domain: str
+        cls, profile: Scenario | str, *, seed: int, run: str, domain: str
     ) -> "FaultPlan | None":
         """Compile ``profile`` for one site; empty profiles yield ``None``.
 
@@ -299,27 +193,12 @@ class FaultPlan:
         guard every hook on ``plan is not None``, so the no-fault code
         path is literally the pre-fault code path.
         """
-        if isinstance(profile, str):
-            profile = fault_profile(profile)
-        if profile.empty:
-            return None
-        return cls(profile=profile, seed=seed, run=run, domain=domain)
+        return cls._compile(profile, seed, run, domain)
 
-    # ------------------------------------------------------------------
     @property
     def verifies_tls(self) -> bool:
         """Whether connection setup should verify presented certificates."""
-        return bool(self.profile.kinds & _TLS_KINDS)
-
-    def fires(self, kind: FaultKind) -> bool:
-        """Draw once: does fault ``kind`` strike at this hook point?"""
-        spec = self.profile.spec_for(kind)
-        if spec is None or spec.rate <= 0.0:
-            return False
-        if self._streams[kind].random() >= spec.rate:
-            return False
-        self._fired[kind] = self._fired.get(kind, 0) + 1
-        return True
+        return bool(self.scenario.kinds & _TLS_KINDS)
 
     def task_crash(self, attempt: int) -> bool:
         """Does the ``worker-crash`` fault strike this task attempt?
@@ -333,34 +212,14 @@ class FaultPlan:
         how many attempts they crash for (a huge ``param`` makes them
         poison).
         """
-        spec = self.profile.spec_for(FaultKind.TASK_WORKER_CRASH)
+        spec = self.scenario.spec_for(FaultKind.TASK_WORKER_CRASH)
         if spec is None or spec.rate <= 0.0:
             return False
         if attempt >= spec.param:
             return False
         struck = stable_hash(
-            "worker-crash", self.seed, self.run, self.domain
+            "worker-crash", self.seed, self.unit, self.domain
         ) % 10_000 < spec.rate * 10_000
         if struck:
-            kind = FaultKind.TASK_WORKER_CRASH
-            self._fired[kind] = self._fired.get(kind, 0) + 1
+            self._tally(FaultKind.TASK_WORKER_CRASH)
         return struck
-
-    def param(self, kind: FaultKind, default: float = 0.0) -> float:
-        """The magnitude configured for ``kind`` (profile-level)."""
-        spec = self.profile.spec_for(kind)
-        return spec.param if spec is not None else default
-
-    def counts(self) -> tuple[tuple[str, int], ...]:
-        """Fired counts as a stable, picklable ``(kind, n)`` tuple."""
-        return tuple(
-            sorted((kind.value, n) for kind, n in self._fired.items())
-        )
-
-
-def merge_counts(
-    into: dict[str, int], counts: tuple[tuple[str, int], ...]
-) -> None:
-    """Fold one site's fired-count tuple into a running taxonomy dict."""
-    for kind_value, n in counts:
-        into[kind_value] = into.get(kind_value, 0) + n

@@ -3,11 +3,11 @@
 The paper deliberately disabled QUIC (§4.2.2) so alt-svc upgrades could
 not flip connections between HTTP/2 and HTTP/3 mid-measurement — which
 makes its unused reuse-potential numbers an h2-only lower bound.  This
-module is the scenario layer that re-enables the question: a named
-:class:`H3Profile` describes *which part of the ecosystem* advertises
-``h3`` via alt-svc, and :class:`H3Plan` compiles that profile into pure
-per-name adoption verdicts, exactly like the ``repro.faults`` and
-``repro.evolve`` plan layers.
+module is the scenario layer that re-enables the question: a named h3
+profile in :data:`H3_PROFILES` describes *which part of the ecosystem*
+advertises ``h3`` via alt-svc (each spec's ``rate`` is the adopting
+share of one :class:`H3Kind` population), and :class:`H3Plan` compiles
+that profile into pure per-name adoption verdicts.
 
 Determinism contract
 --------------------
@@ -16,8 +16,8 @@ Determinism contract
   ``("h3", kind, seed, name)`` — no RNG stream, no draw order.  Two
   evaluations of the same name agree no matter which order the fleet is
   walked in, and the verdict is rebuilt identically inside every
-  process worker (the ISSUE's "(seed, run, domain)" seeding collapses
-  to ``(seed, domain)`` here because the adoption state is world state:
+  process worker (the other axes' ``(seed, unit, domain)`` seeding
+  collapses to ``(seed, domain)`` here because the adoption state is world state:
   it must be identical across every run that shares the world).
 * The hash deliberately **excludes** the profile name and the adoption
   fraction.  A name adopts iff its hash bucket falls below
@@ -31,12 +31,12 @@ Determinism contract
   built before this module existed (the pinned clean golden digest
   proves it).
 
->>> from repro.h3 import H3Kind, H3Plan, h3_profile, profile_names
->>> profile_names()
+>>> from repro.h3 import H3_PROFILES, H3Kind, H3Plan
+>>> H3_PROFILES.names()
 ['broad', 'cdn-first', 'none']
 >>> H3Plan.compile("none", seed=7) is None
 True
->>> h3_profile("adopt-0.4").fraction_for(H3Kind.ORIGIN_ADOPT)
+>>> H3_PROFILES.lookup("adopt-0.4").spec_for(H3Kind.ORIGIN_ADOPT).rate
 0.4
 >>> plan = H3Plan.compile("broad", seed=7)
 >>> plan.adopts(H3Kind.ORIGIN_ADOPT, "a.com") == \\
@@ -52,20 +52,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.util.rng import stable_hash
+from repro.util.scenario import Registry, Scenario, Spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.web.ecosystem import Ecosystem
 
-__all__ = [
-    "H3Kind",
-    "H3Spec",
-    "H3Profile",
-    "H3Plan",
-    "PROFILES",
-    "apply_h3_adoption",
-    "h3_profile",
-    "profile_names",
-]
+__all__ = ["H3Kind", "H3Plan", "H3_PROFILES", "apply_h3_adoption"]
 
 
 class H3Kind(enum.Enum):
@@ -77,118 +69,60 @@ class H3Kind(enum.Enum):
     PROVIDER_ADOPT = "provider-adopt"
 
 
-@dataclass(frozen=True)
-class H3Spec:
-    """One population's adoption fraction.
-
-    ``fraction`` is the share of names (service keys for providers,
-    site root domains for origins) whose fleets advertise ``h3``.
-    """
-
-    kind: H3Kind
-    fraction: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(
-                f"adoption fraction must be in [0, 1], got {self.fraction}"
-            )
-
-
-@dataclass(frozen=True)
-class H3Profile:
-    """A named, immutable alt-svc rollout scenario."""
-
-    name: str
-    description: str
-    specs: tuple[H3Spec, ...] = ()
-
-    def __post_init__(self) -> None:
-        kinds = [spec.kind for spec in self.specs]
-        if len(set(kinds)) != len(kinds):
-            raise ValueError(
-                f"duplicate adoption kinds in profile {self.name!r}"
-            )
-        object.__setattr__(
-            self, "_spec_index", {spec.kind: spec for spec in self.specs}
-        )
-
-    @property
-    def empty(self) -> bool:
-        return not self.specs
-
-    def spec_for(self, kind: H3Kind) -> H3Spec | None:
-        return self._spec_index.get(kind)
-
-    def fraction_for(self, kind: H3Kind) -> float:
-        spec = self.spec_for(kind)
-        return spec.fraction if spec is not None else 0.0
-
-
-#: The named scenario registry.  ``"none"`` is the inert default;
-#: ``adopt-<fraction>`` names (e.g. ``adopt-0.25``) are synthesised on
-#: lookup for sweeps over the adoption fraction.
-PROFILES: dict[str, H3Profile] = {
-    profile.name: profile
-    for profile in (
-        H3Profile("none", "no alt-svc h3 anywhere (the paper's world)"),
-        H3Profile(
-            "cdn-first",
-            "the realistic early-rollout shape: most third-party "
-            "providers advertise h3, few first-party origins do",
-            (
-                H3Spec(H3Kind.PROVIDER_ADOPT, fraction=0.8),
-                H3Spec(H3Kind.ORIGIN_ADOPT, fraction=0.1),
-            ),
-        ),
-        H3Profile(
-            "broad",
-            "late-rollout shape: h3 is the norm for providers and "
-            "common for first parties (the h3 golden scenario)",
-            (
-                H3Spec(H3Kind.PROVIDER_ADOPT, fraction=0.9),
-                H3Spec(H3Kind.ORIGIN_ADOPT, fraction=0.6),
-            ),
-        ),
-    )
-}
-
 #: ``adopt-<fraction>`` sweepable profiles: both populations adopt at
 #: the same fraction, e.g. ``adopt-0.25``.
 _ADOPT_PATTERN = re.compile(r"adopt-(\d+(?:\.\d+)?)\Z")
 
 
-def profile_names() -> list[str]:
-    """Registered profile names, for CLI help and validation messages."""
-    return sorted(PROFILES)
-
-
-def h3_profile(name: str) -> H3Profile:
-    """Look up a profile by name; raises ``ValueError`` on unknowns.
-
-    Besides the registered names, ``adopt-<fraction>`` (fraction in
-    [0, 1], e.g. ``adopt-0.35``) synthesises a uniform-adoption profile
-    for sweeping the fraction as a numeric axis.
-    """
-    profile = PROFILES.get(name)
-    if profile is not None:
-        return profile
+def _parse_adopt(name: str) -> Scenario | None:
+    """Synthesise a uniform-adoption profile for ``adopt-<fraction>``
+    (fraction in [0, 1]), for sweeping the fraction as a numeric axis."""
     match = _ADOPT_PATTERN.fullmatch(name)
-    if match is not None:
-        fraction = float(match.group(1))
-        if 0.0 <= fraction <= 1.0:
-            return H3Profile(
-                name,
-                f"uniform alt-svc adoption at fraction {fraction}",
-                (
-                    H3Spec(H3Kind.PROVIDER_ADOPT, fraction=fraction),
-                    H3Spec(H3Kind.ORIGIN_ADOPT, fraction=fraction),
-                ),
-            )
-    raise ValueError(
-        f"unknown h3 profile {name!r}; registered profiles: "
-        f"{profile_names()} (or adopt-<fraction> with fraction in [0, 1])"
+    if match is None:
+        return None
+    fraction = float(match.group(1))
+    if not 0.0 <= fraction <= 1.0:
+        return None
+    return Scenario(
+        name,
+        f"uniform alt-svc adoption at fraction {fraction}",
+        (
+            Spec(H3Kind.PROVIDER_ADOPT, rate=fraction),
+            Spec(H3Kind.ORIGIN_ADOPT, rate=fraction),
+        ),
     )
+
+
+#: The named scenario registry.  ``"none"`` is the inert default;
+#: ``adopt-<fraction>`` names (e.g. ``adopt-0.25``) are synthesised on
+#: lookup for sweeps over the adoption fraction.
+H3_PROFILES = Registry(
+    "h3 profile",
+    "profiles",
+    (
+        Scenario("none", "no alt-svc h3 anywhere (the paper's world)"),
+        Scenario(
+            "cdn-first",
+            "the realistic early-rollout shape: most third-party "
+            "providers advertise h3, few first-party origins do",
+            (
+                Spec(H3Kind.PROVIDER_ADOPT, rate=0.8),
+                Spec(H3Kind.ORIGIN_ADOPT, rate=0.1),
+            ),
+        ),
+        Scenario(
+            "broad",
+            "late-rollout shape: h3 is the norm for providers and "
+            "common for first parties (the h3 golden scenario)",
+            (
+                Spec(H3Kind.PROVIDER_ADOPT, rate=0.9),
+                Spec(H3Kind.ORIGIN_ADOPT, rate=0.6),
+            ),
+        ),
+    ),
+    parse=_parse_adopt,
+    hint=" (or adopt-<fraction> with fraction in [0, 1])",
+)
 
 
 @dataclass(frozen=True)
@@ -201,12 +135,12 @@ class H3Plan:
     from ``(seed, name)`` alone regardless of evaluation order.
     """
 
-    profile: H3Profile
+    scenario: Scenario
     seed: int
 
     @classmethod
     def compile(
-        cls, profile: H3Profile | str, *, seed: int
+        cls, profile: Scenario | str, *, seed: int
     ) -> "H3Plan | None":
         """Compile ``profile`` for one world; empty profiles yield ``None``.
 
@@ -215,11 +149,10 @@ class H3Plan:
         guards on ``plan is not None``, so the ``none`` code path is
         literally the pre-h3 code path.
         """
-        if isinstance(profile, str):
-            profile = h3_profile(profile)
+        profile = H3_PROFILES.resolve(profile)
         if profile.empty:
             return None
-        return cls(profile=profile, seed=seed)
+        return cls(scenario=profile, seed=seed)
 
     def adopts(self, kind: H3Kind, name: str) -> bool:
         """Pure verdict: does ``name``'s fleet advertise alt-svc h3?
@@ -229,12 +162,12 @@ class H3Plan:
         adopted set only ever *grows* with the fraction (see the module
         docstring's determinism contract).
         """
-        spec = self.profile.spec_for(kind)
-        if spec is None or spec.fraction <= 0.0:
+        spec = self.scenario.spec_for(kind)
+        if spec is None or spec.rate <= 0.0:
             return False
         return (
             stable_hash("h3", kind.value, self.seed, name) % 10_000
-            < spec.fraction * 10_000
+            < spec.rate * 10_000
         )
 
 

@@ -122,10 +122,10 @@ class TestPoliciesPerturb:
         assert len(sequence) == 3
 
     def test_ledger_names_stay_within_policy(self, evolved_studies):
-        from repro.evolve import evolution_policy
+        from repro.evolve import POLICIES
 
         for policy, study in evolved_studies.items():
-            allowed = {kind.value for kind in evolution_policy(policy).kinds}
+            allowed = {kind.value for kind in POLICIES.lookup(policy).kinds}
             for _, counts in study.ecosystem.evolution_ledger:
                 assert set(dict(counts)) <= allowed, (policy, counts)
 

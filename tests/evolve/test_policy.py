@@ -4,45 +4,38 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evolve.plan import EpochPlan, merge_churn
-from repro.evolve.policy import (
-    ChurnKind,
-    ChurnSpec,
-    DNS_KINDS,
-    SITE_KINDS,
-    EvolutionPolicy,
-    evolution_policy,
-    policy_names,
-)
+from repro.evolve.plan import EpochPlan
+from repro.evolve.policy import DNS_KINDS, POLICIES, SITE_KINDS, ChurnKind
+from repro.util.scenario import Scenario, Spec, merge_counts
 
 
 class TestRegistry:
     def test_expected_policies_registered(self):
-        assert policy_names() == [
+        assert POLICIES.names() == [
             "cdn-migration", "cert-rotation", "dns-churn", "h3-rollout",
             "mixed", "none", "shard-consolidation",
         ]
 
     def test_none_is_empty(self):
-        assert evolution_policy("none").empty
+        assert POLICIES.lookup("none").empty
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown evolution policy"):
-            evolution_policy("cert-rotation-weekly")
+            POLICIES.lookup("cert-rotation-weekly")
 
     def test_mixed_covers_every_axis_at_half_rate(self):
-        mixed = evolution_policy("mixed")
+        mixed = POLICIES.lookup("mixed")
         # Every kind of every pre-h3 single-axis policy appears in
         # mixed; h3-rollout stays out so the pinned longitudinal
         # golden remains h2-only.
         single_axis_kinds = set()
         for name in ("cert-rotation", "dns-churn", "cdn-migration",
                      "shard-consolidation"):
-            single_axis_kinds |= evolution_policy(name).kinds
+            single_axis_kinds |= POLICIES.lookup(name).kinds
         assert mixed.kinds == single_axis_kinds
         assert ChurnKind.H3_ROLLOUT not in mixed.kinds
         # And the rate of each is half its primary policy's rate.
-        rotate = evolution_policy("cert-rotation").spec_for(
+        rotate = POLICIES.lookup("cert-rotation").spec_for(
             ChurnKind.CERT_ROTATE
         )
         assert mixed.spec_for(ChurnKind.CERT_ROTATE).rate == pytest.approx(
@@ -54,13 +47,13 @@ class TestRegistry:
         assert not SITE_KINDS & DNS_KINDS
 
     def test_duplicate_kinds_rejected(self):
-        spec = ChurnSpec(ChurnKind.CERT_ROTATE, rate=0.1)
-        with pytest.raises(ValueError, match="duplicate churn kinds"):
-            EvolutionPolicy("dup", "bad", (spec, spec))
+        spec = Spec(ChurnKind.CERT_ROTATE, rate=0.1)
+        with pytest.raises(ValueError, match="duplicate kinds"):
+            Scenario("dup", "bad", (spec, spec))
 
     def test_rate_bounds_enforced(self):
-        with pytest.raises(ValueError, match="churn rate"):
-            ChurnSpec(ChurnKind.DNS_NARROW, rate=1.5)
+        with pytest.raises(ValueError, match="dns-narrow rate"):
+            Spec(ChurnKind.DNS_NARROW, rate=1.5)
 
 
 class TestEpochPlan:
@@ -73,7 +66,7 @@ class TestEpochPlan:
         kwargs = dict(seed=7, epoch=3, domain="site000004.com")
         first = EpochPlan.compile("mixed", **kwargs)
         second = EpochPlan.compile("mixed", **kwargs)
-        for kind in sorted(first.policy.kinds, key=lambda k: k.value):
+        for kind in sorted(first.scenario.kinds, key=lambda k: k.value):
             assert [first.fires(kind) for _ in range(32)] == [
                 second.fires(kind) for _ in range(32)
             ], kind
@@ -110,6 +103,6 @@ class TestEpochPlan:
         counts = plan.counts()
         assert dict(counts).get(ChurnKind.SHARD_DROP.value, 0) == fired
         totals: dict[str, int] = {}
-        merge_churn(totals, counts)
-        merge_churn(totals, counts)
+        merge_counts(totals, counts)
+        merge_counts(totals, counts)
         assert totals[ChurnKind.SHARD_DROP.value] == 2 * fired

@@ -90,12 +90,12 @@ class TestProfilesPerturb:
         assert len(set(digests.values())) == len(digests), digests
 
     def test_fault_kinds_strike_within_their_layer(self, serial_studies):
-        from repro.faults import fault_profile
+        from repro.faults import FAULTS
 
         for profile in PROFILES:
             counts = serial_studies[profile].fault_counts()
             assert counts, f"profile {profile} never fired"
-            allowed = {kind.value for kind in fault_profile(profile).kinds}
+            allowed = {kind.value for kind in FAULTS.lookup(profile).kinds}
             assert set(counts) <= allowed, (profile, counts)
 
     def test_baseline_reports_no_faults(self, serial_studies):

@@ -15,7 +15,7 @@ from repro.browser.browser import BrowserConfig, ChromiumBrowser
 from repro.dns.loadbalancer import narrow_answer
 from repro.dns.resolver import DnsTimeout, ServFail
 from repro.dns.zone import NxDomain
-from repro.faults import FaultKind, FaultPlan, FaultProfile, FaultSpec
+from repro.faults import FaultKind, FaultPlan
 from repro.h2.connection import ConnectionClosedError, Http2Connection
 from repro.h2.stream import StreamResetError
 from repro.tls.certificate import (
@@ -30,16 +30,17 @@ from repro.tls.verify import (
     verify_certificate,
 )
 from repro.util.clock import SimClock
+from repro.util.scenario import Scenario, Spec
 from repro.web.server import FaultedEndpoint, OriginServer
 
 
-def _plan(*specs: FaultSpec) -> FaultPlan:
-    profile = FaultProfile(name="adhoc", description="test", specs=specs)
+def _plan(*specs: Spec) -> FaultPlan:
+    profile = Scenario(name="adhoc", description="test", specs=specs)
     return FaultPlan.compile(profile, seed=1, run="test", domain="site.test")
 
 
 def _always(kind: FaultKind, param: float = 0.0) -> FaultPlan:
-    return _plan(FaultSpec(kind, rate=1.0, param=param))
+    return _plan(Spec(kind, rate=1.0, param=param))
 
 
 def _origin_server(
@@ -303,7 +304,7 @@ class TestFaultedEndpoint:
 
     def test_error_burst_arms_consecutive_503s(self):
         plan = _plan(
-            FaultSpec(FaultKind.SRV_ERROR_BURST, rate=1.0, param=3.0)
+            Spec(FaultKind.SRV_ERROR_BURST, rate=1.0, param=3.0)
         )
         endpoint = self._endpoint(plan)
         statuses = [
@@ -341,7 +342,7 @@ class TestFaultedEndpoint:
         assert status == 421  # 421s are never rewritten into 503s
 
     def test_certificate_decision_cached_per_sni(self):
-        plan = _plan(FaultSpec(FaultKind.TLS_EXPIRED, rate=0.5))
+        plan = _plan(Spec(FaultKind.TLS_EXPIRED, rate=0.5))
         endpoint = self._endpoint(plan)
         first = endpoint.certificate_for("example.com")
         assert endpoint.certificate_for("example.com") is first
@@ -395,7 +396,7 @@ class TestLoaderFallback:
 
     def test_5xx_recorded_and_children_skipped(self, small_ecosystem):
         plan = _plan(
-            FaultSpec(FaultKind.SRV_ERROR_BURST, rate=1.0, param=1000.0)
+            Spec(FaultKind.SRV_ERROR_BURST, rate=1.0, param=1000.0)
         )
         visit = self._visit(small_ecosystem, plan)
         # The document's 503 is observed (and retried once), but its

@@ -7,24 +7,16 @@ import pickle
 import pytest
 
 from repro.analysis.study import StudyConfig
-from repro.faults import (
-    PROFILES,
-    FaultKind,
-    FaultPlan,
-    FaultProfile,
-    FaultSpec,
-    fault_profile,
-    merge_counts,
-    profile_names,
-)
+from repro.faults import FAULTS, FaultKind, FaultPlan
 from repro.sweep import SweepSpec
+from repro.util.scenario import Scenario, Spec, merge_counts
 
 
-def _always(kind: FaultKind, param: float = 0.0) -> FaultProfile:
+def _always(kind: FaultKind, param: float = 0.0) -> Scenario:
     """A single-kind profile that fires on every draw."""
-    return FaultProfile(
+    return Scenario(
         name=f"always-{kind.value}", description="test",
-        specs=(FaultSpec(kind, rate=1.0, param=param),),
+        specs=(Spec(kind, rate=1.0, param=param),),
     )
 
 
@@ -32,35 +24,32 @@ class TestRegistry:
     def test_required_profiles_registered(self):
         for name in ("none", "flaky-dns", "broken-tls", "h2-churn",
                      "slow-origin", "chaos"):
-            assert name in PROFILES
+            assert name in FAULTS.names()
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="unknown fault profile"):
-            fault_profile("fire-everything")
-
-    def test_profile_names_sorted(self):
-        assert profile_names() == sorted(PROFILES)
+            FAULTS.lookup("fire-everything")
 
     def test_none_profile_is_empty(self):
-        assert fault_profile("none").empty
+        assert FAULTS.lookup("none").empty
 
     def test_chaos_covers_every_named_profile(self):
         named = set()
         for name in ("flaky-dns", "broken-tls", "h2-churn", "slow-origin"):
-            named |= fault_profile(name).kinds
-        assert fault_profile("chaos").kinds == named
+            named |= FAULTS.lookup(name).kinds
+        assert FAULTS.lookup("chaos").kinds == named
 
     def test_duplicate_kinds_rejected(self):
-        with pytest.raises(ValueError, match="duplicate fault kinds"):
-            FaultProfile(
+        with pytest.raises(ValueError, match="duplicate kinds"):
+            Scenario(
                 "dup", "test",
-                (FaultSpec(FaultKind.H2_GOAWAY, 0.1),
-                 FaultSpec(FaultKind.H2_GOAWAY, 0.2)),
+                (Spec(FaultKind.H2_GOAWAY, 0.1),
+                 Spec(FaultKind.H2_GOAWAY, 0.2)),
             )
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError, match="rate"):
-            FaultSpec(FaultKind.H2_GOAWAY, rate=1.5)
+            Spec(FaultKind.H2_GOAWAY, rate=1.5)
 
 
 class TestCompile:
@@ -74,7 +63,7 @@ class TestCompile:
             "flaky-dns", seed=7, run="alexa-fetch", domain="site000001.com"
         )
         assert plan is not None
-        assert plan.profile.name == "flaky-dns"
+        assert plan.scenario.name == "flaky-dns"
 
     def test_profile_instances_accepted(self):
         plan = FaultPlan.compile(
@@ -209,13 +198,13 @@ class TestTaskFaults:
 
     def test_task_profiles_registered(self):
         for name in ("worker-crash", "worker-poison", "cache-rot"):
-            assert name in PROFILES
-            assert name in profile_names()
+            assert name in FAULTS.names()
+            assert not FAULTS.lookup(name).empty
 
     def test_chaos_excludes_task_kinds(self):
         # chaos must stay runnable through a bare executor; task faults
         # need the run layer to recover them.
-        kinds = fault_profile("chaos").kinds
+        kinds = FAULTS.lookup("chaos").kinds
         assert FaultKind.TASK_WORKER_CRASH not in kinds
         assert FaultKind.TASK_CACHE_ROT not in kinds
 
@@ -281,12 +270,11 @@ class TestTaskFaults:
         # The hash-based verdict must not perturb the per-kind RNG
         # streams, or adding retries would change which *protocol*
         # faults fire and break digest parity with 'none'.
-        hybrid = FaultProfile(
+        hybrid = Scenario(
             name="hybrid-task-dns", description="test",
             specs=(
-                FaultSpec(FaultKind.TASK_WORKER_CRASH, rate=1.0,
-                          param=10.0),
-                FaultSpec(FaultKind.DNS_SERVFAIL, rate=0.5),
+                Spec(FaultKind.TASK_WORKER_CRASH, rate=1.0, param=10.0),
+                Spec(FaultKind.DNS_SERVFAIL, rate=0.5),
             ),
         )
         untouched = FaultPlan.compile(hybrid, seed=7, run="r",

@@ -4,94 +4,86 @@ from __future__ import annotations
 
 import pytest
 
-from repro.h3 import (
-    PROFILES,
-    H3Kind,
-    H3Plan,
-    H3Profile,
-    H3Spec,
-    apply_h3_adoption,
-    h3_profile,
-    profile_names,
-)
+from repro.h3 import H3_PROFILES, H3Kind, H3Plan, apply_h3_adoption
+from repro.util.scenario import Scenario, Spec
 from repro.web.ecosystem import Ecosystem, EcosystemConfig
+
+
+def _rate(profile: str, kind: H3Kind) -> float:
+    return H3_PROFILES.lookup(profile).spec_for(kind).rate
 
 
 class TestRegistry:
     def test_registered_names(self):
-        assert profile_names() == ["broad", "cdn-first", "none"]
+        assert H3_PROFILES.names() == ["broad", "cdn-first", "none"]
 
     def test_none_is_empty(self):
-        assert h3_profile("none").empty
-        assert not h3_profile("cdn-first").empty
-        assert not h3_profile("broad").empty
+        assert H3_PROFILES.lookup("none").empty
+        assert not H3_PROFILES.lookup("cdn-first").empty
+        assert not H3_PROFILES.lookup("broad").empty
 
     def test_cdn_first_shape(self):
-        profile = h3_profile("cdn-first")
-        assert profile.fraction_for(H3Kind.PROVIDER_ADOPT) > (
-            profile.fraction_for(H3Kind.ORIGIN_ADOPT)
+        assert _rate("cdn-first", H3Kind.PROVIDER_ADOPT) > (
+            _rate("cdn-first", H3Kind.ORIGIN_ADOPT)
         )
 
     def test_broad_adopts_more_than_cdn_first(self):
         for kind in H3Kind:
-            assert h3_profile("broad").fraction_for(kind) >= (
-                h3_profile("cdn-first").fraction_for(kind)
-            )
+            assert _rate("broad", kind) >= _rate("cdn-first", kind)
 
     def test_unknown_profile_lists_names(self):
         with pytest.raises(ValueError) as error:
-            h3_profile("warp")
+            H3_PROFILES.lookup("warp")
         message = str(error.value)
         assert "'warp'" in message
-        for name in profile_names():
+        for name in H3_PROFILES.names():
             assert name in message
         assert "adopt-<fraction>" in message
 
     def test_lookup_returns_registry_object(self):
-        assert h3_profile("broad") is PROFILES["broad"]
+        assert H3_PROFILES.lookup("broad") is H3_PROFILES.scenarios["broad"]
 
 
 class TestAdoptFractionProfiles:
     def test_synthesised_fractions(self):
-        profile = h3_profile("adopt-0.4")
-        assert profile.fraction_for(H3Kind.ORIGIN_ADOPT) == 0.4
-        assert profile.fraction_for(H3Kind.PROVIDER_ADOPT) == 0.4
-        assert not profile.empty
+        assert _rate("adopt-0.4", H3Kind.ORIGIN_ADOPT) == 0.4
+        assert _rate("adopt-0.4", H3Kind.PROVIDER_ADOPT) == 0.4
+        assert not H3_PROFILES.lookup("adopt-0.4").empty
 
     def test_integer_spelling(self):
-        assert h3_profile("adopt-1").fraction_for(H3Kind.ORIGIN_ADOPT) == 1.0
+        assert _rate("adopt-1", H3Kind.ORIGIN_ADOPT) == 1.0
 
     @pytest.mark.parametrize("name", ["adopt-1.5", "adopt--0.1", "adopt-",
                                       "adopt-x", "adopt-0.5x"])
     def test_out_of_range_or_malformed_rejected(self, name):
         with pytest.raises(ValueError):
-            h3_profile(name)
+            H3_PROFILES.lookup(name)
 
 
 class TestSpecsAndProfiles:
     def test_fraction_bounds_enforced(self):
         with pytest.raises(ValueError):
-            H3Spec(H3Kind.ORIGIN_ADOPT, fraction=1.01)
+            Spec(H3Kind.ORIGIN_ADOPT, rate=1.01)
         with pytest.raises(ValueError):
-            H3Spec(H3Kind.ORIGIN_ADOPT, fraction=-0.01)
+            Spec(H3Kind.ORIGIN_ADOPT, rate=-0.01)
 
     def test_duplicate_kinds_rejected(self):
         with pytest.raises(ValueError):
-            H3Profile("dup", "duplicate", (
-                H3Spec(H3Kind.ORIGIN_ADOPT, 0.1),
-                H3Spec(H3Kind.ORIGIN_ADOPT, 0.2),
+            Scenario("dup", "duplicate", (
+                Spec(H3Kind.ORIGIN_ADOPT, 0.1),
+                Spec(H3Kind.ORIGIN_ADOPT, 0.2),
             ))
 
 
 class TestCompile:
     def test_none_compiles_to_no_plan(self):
         assert H3Plan.compile("none", seed=7) is None
-        assert H3Plan.compile(h3_profile("none"), seed=7) is None
+        assert H3Plan.compile(H3_PROFILES.lookup("none"), seed=7) is None
 
     def test_named_profile_compiles(self):
         plan = H3Plan.compile("broad", seed=7)
         assert plan is not None
-        assert plan.profile is PROFILES["broad"]
+        assert plan.scenario is H3_PROFILES.scenarios["broad"]
         assert plan.seed == 7
 
     def test_zero_fraction_never_adopts(self):

@@ -120,15 +120,6 @@ class TestPoolDiscovery:
             assert not decision.h3_upgraded
         assert pool.h3_upgraded_count == 0
 
-    def test_legacy_enable_quic_upgrades_on_first_contact(self):
-        # The pre-discovery semantics (BrowserConfig.disable_quic=False)
-        # are untouched: an advertising endpoint is h3 immediately.
-        pool = _pool(enable_quic=True)
-        first = pool.get_connection("a.example.com", ("10.0.0.1",),
-                                    privacy_mode=False, now=0.0)
-        assert first.connection.protocol == "h3"
-        assert not first.h3_upgraded  # no discovery, no upgrade
-
     def test_discovery_off_is_inert(self):
         pool = _pool()
         for now in (0.0, 1.0):
@@ -178,8 +169,8 @@ class TestReusePredicateProtocols:
 class TestBrowserDiscovery:
     def test_broad_world_produces_h3_upgrades(self, h3_browser_factory,
                                               h3_ecosystem):
-        # Default config: QUIC stays "disabled" in the legacy sense;
-        # the h3_profile axis alone activates discovery.
+        # Default config: the h3_profile axis alone activates
+        # discovery.
         browser = h3_browser_factory(BrowserConfig())
         upgrades = 0
         h3_connections = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.h3 import H3Kind, H3Plan, h3_profile, profile_names
+from repro.h3 import H3_PROFILES, H3Kind, H3Plan
 
 _names = st.lists(
     st.text(alphabet="abcdefghij0123456789.-", min_size=1, max_size=16),
@@ -31,7 +31,9 @@ _percents = st.integers(min_value=0, max_value=100)
 
 
 def _adopt_plan(percent: int, seed: int) -> H3Plan:
-    plan = H3Plan.compile(h3_profile(f"adopt-{percent / 100:.2f}"), seed=seed)
+    plan = H3Plan.compile(
+        H3_PROFILES.lookup(f"adopt-{percent / 100:.2f}"), seed=seed
+    )
     assert plan is not None  # adopt profiles are never empty
     return plan
 
@@ -86,7 +88,7 @@ class TestFractionMonotonicity:
 
 class TestCompilePurity:
     @given(seed=_seeds, name=st.sampled_from(
-        tuple(profile_names()) + ("adopt-0.25", "adopt-0.75")
+        tuple(H3_PROFILES.names()) + ("adopt-0.25", "adopt-0.75")
     ))
     def test_compile_is_pure(self, seed, name):
         assert H3Plan.compile(name, seed=seed) == H3Plan.compile(

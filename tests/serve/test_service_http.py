@@ -108,7 +108,7 @@ class TestStudyEndpoint:
         assert payload["error"] == "bad-json"
 
 
-class TestH3Profile:
+class TestH3Axis:
     def test_unknown_h3_profile_is_400_config_error(self, serve_handle):
         status, payload = serve_handle.post("/v1/study", {
             "schema": 1, "n_sites": 40, "h3_profile": "warp",
