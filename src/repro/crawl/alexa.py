@@ -39,7 +39,6 @@ from repro.crawl.shards import (
 )
 from repro.core.session import LifetimeModel, SessionRecord
 from repro.faults.plan import FaultPlan
-from repro.netlog.events import NetLog
 from repro.netlog.parser import parse_sessions
 from repro.runtime import Executor, SerialExecutor, ecosystem_for, prime_ecosystem
 from repro.store import StudyCache, stable_key
@@ -67,10 +66,6 @@ class AlexaMeasurement:
     #: Injected-fault strikes during this site's visit, by kind value
     #: (empty without a fault profile).
     fault_counts: tuple[tuple[str, int], ...] = ()
-    #: The raw NetLog; only retained under ``AlexaCrawler.keep_netlogs``
-    #: — shipping full logs back from pool workers dwarfs the cost of
-    #: the visit itself.
-    netlog: NetLog | None = None
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,6 @@ class _AlexaSiteTask:
     observe_s: float
     permanent_unreachable_share: float
     transient_unreachable_share: float
-    keep_netlog: bool
     fault_profile: str = "none"
     #: Retry generation (set by the run layer's re-dispatch); feeds
     #: only the attempt-bounded ``worker-crash`` fault, never an RNG
@@ -153,7 +147,6 @@ def _measure_one_site(task: _AlexaSiteTask) -> AlexaMeasurement:
         unreachable=False,
         records=parsed.records,
         goaway_connection_ids=tuple(sorted(parsed.goaway_sessions)),
-        netlog=visit.netlog if task.keep_netlog else None,
         fault_counts=counts,
     )
 
@@ -290,10 +283,6 @@ class AlexaCrawler:
     permanent_unreachable_share: float = 0.04
     #: Per-run transient failures (timeouts).
     transient_unreachable_share: float = 0.01
-    #: Retain each visit's raw NetLog on the measurement.  The study
-    #: pipeline only needs the parsed records and GOAWAY ids, so logs
-    #: are dropped by default.
-    keep_netlogs: bool = False
     #: Named fault profile injected into every visit (see
     #: :mod:`repro.faults`); ``"none"`` is provably inert.
     fault_profile: str = "none"
@@ -333,7 +322,6 @@ class AlexaCrawler:
             self.observe_s,
             self.permanent_unreachable_share,
             self.transient_unreachable_share,
-            self.keep_netlogs,
             self.fault_profile,
             run_name,
             ignore_privacy_mode,
@@ -437,7 +425,6 @@ class AlexaCrawler:
                     transient_unreachable_share=(
                         self.transient_unreachable_share
                     ),
-                    keep_netlog=self.keep_netlogs,
                     fault_profile=self.fault_profile,
                 )
                 for domain, offset in zip(shard.domains, shard.offsets)

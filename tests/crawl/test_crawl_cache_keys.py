@@ -24,12 +24,12 @@ PINNED_KEYS: dict[str, tuple[str, ...]] = {
         "676d802d0bd50bb6db1360714aee45d5",
     ),
     "alexa-fetch": (
-        "9ab49bda43447e75321bf5f13be842e9",
-        "d2fd4470f2d0d84183280ab019838c68",
+        "dab450b065fa4a245b1f46a7ec8b932e",
+        "b947aef4d72cd7d45da244760ab1cc78",
     ),
     "alexa-nofetch": (
-        "42d329de89f323a79aec9ebd1416b8e3",
-        "56c1a7c65ae7d6b62c6a3ec86ba38053",
+        "8d9a16f27e62320f6ad792641ce8c710",
+        "4f20aa68d8ac7c481fa0cf9c99c1188c",
     ),
     "classify-har-endless": (
         "81fffa0c110044c4e36a8bea6e9d4d66",
@@ -40,16 +40,16 @@ PINNED_KEYS: dict[str, tuple[str, ...]] = {
         "a6e850be18b0190aa04a750412f98339",
     ),
     "classify-alexa-endless": (
-        "3f7725933a18634d9b227bd8580903b4",
-        "a57e8cab7150e7a9edc981f4997ef56a",
+        "d925cdf581613d66b9cb349aaddb0406",
+        "af9c9c8c09499a13c0627074cca919bb",
     ),
     "classify-alexa": (
-        "5adf5ac6792a00195990b701a37b9762",
-        "94ea1e5226ff79434af0b75d71969816",
+        "1971019d8bedb9d81bd0992cb5a16ddd",
+        "bfa9756f8ed7b4ce7cc2c7bcf8992fc6",
     ),
     "classify-alexa-nofetch": (
-        "b10f2a303402806a2e1cd5db36606266",
-        "a76b7d6ff0be2e6b6c7d9be824d99233",
+        "1594c9b2a319bec5242daf793ed9af89",
+        "560c11995e02098156671eca3addcf14",
     ),
 }
 
