@@ -81,7 +81,7 @@ from repro.core import (
     could_reuse,
     records_from_visit,
 )
-from repro.crawl import AlexaCrawler, HttpArchiveCrawler
+from repro.crawl import AlexaCrawler, AlexaVariant, HttpArchiveCrawler
 from repro.dnsstudy import DnsLoadBalancingStudy
 from repro.evolve import run_longitudinal
 from repro.perf import (
@@ -111,7 +111,8 @@ __all__ = [
     "SiteClassification", "classify_site", "could_reuse",
     "records_from_visit",
     # crawl / dns study / web / evolution
-    "AlexaCrawler", "HttpArchiveCrawler", "DnsLoadBalancingStudy",
+    "AlexaCrawler", "AlexaVariant", "HttpArchiveCrawler",
+    "DnsLoadBalancingStudy",
     "Ecosystem", "EcosystemConfig", "run_longitudinal",
     # runtime
     "Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",

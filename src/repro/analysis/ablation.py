@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.core.report import CorpusReport
 from repro.core.session import LifetimeModel
-from repro.crawl.alexa import AlexaCrawler
+from repro.crawl.alexa import AlexaCrawler, AlexaVariant
 from repro.web.ecosystem import Ecosystem, EcosystemConfig
 
 __all__ = ["MitigationOutcome", "MitigationComparison", "compare_mitigations"]
@@ -86,12 +86,11 @@ def _measure(
 ) -> MitigationOutcome:
     crawler = AlexaCrawler(ecosystem=ecosystem, seed=seed)
     domains = ecosystem.alexa_list(top)
-    run = crawler.run(
-        domains,
-        run_name=f"mitigation-{name}",
+    run = crawler.run(domains, AlexaVariant(
+        f"mitigation-{name}",
         ignore_privacy_mode=ignore_privacy_mode,
         honor_origin_frame=honor_origin_frame,
-    )
+    ))
     dataset = run.classify(model=LifetimeModel.ACTUAL, name=name)
     return MitigationOutcome(name=name, report=dataset.report)
 

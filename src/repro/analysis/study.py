@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable
 
-from repro.crawl.alexa import AlexaCrawler, AlexaRun
+from repro.crawl.alexa import AlexaCrawler, AlexaRun, AlexaVariant
 from repro.crawl.classify import ClassifiedDataset
 from repro.crawl.httparchive import HarCorpus, HttpArchiveCrawler
 from repro.crawl.overlap import overlap_datasets
@@ -61,8 +61,16 @@ DATASET_LABELS: dict[str, str] = {
     "alexa-overlap": "Alexa Overlap Endless",
 }
 
-#: Alexa browser variants a study may crawl.
-_ALEXA_VARIANTS = ("fetch", "nofetch")
+#: The Fetch-compliant Alexa run, and the run with Chromium patched to
+#: ignore the connection pool's privacy-mode flag (§5.3.3), scheduled
+#: after the first.
+ALEXA_FETCH = AlexaVariant("alexa-fetch")
+ALEXA_NOFETCH = AlexaVariant(
+    "alexa-nofetch", ignore_privacy_mode=True, run_offset=500_000.0
+)
+
+#: Alexa browser variants a study may crawl, by ``alexa_variants`` name.
+_ALEXA_VARIANTS = {"fetch": ALEXA_FETCH, "nofetch": ALEXA_NOFETCH}
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,7 @@ class StudyConfig:
         if unknown or not self.alexa_variants:
             raise ValueError(
                 f"alexa_variants must be a non-empty subset of "
-                f"{_ALEXA_VARIANTS}, got {self.alexa_variants!r}"
+                f"{tuple(_ALEXA_VARIANTS)}, got {self.alexa_variants!r}"
             )
         if len(set(self.alexa_variants)) != len(self.alexa_variants):
             raise ValueError(
@@ -315,21 +323,16 @@ class Study:
         # The Fetch-compliant run and the privacy-mode-patched one.
         alexa_runs: dict[str, AlexaRun] = {}
         alexa_plans: dict[str, list[CrawlShard]] = {}
-        for variant, patch in (
-            ("fetch", {}),
-            ("nofetch", {"ignore_privacy_mode": True, "run_offset": 500_000.0}),
-        ):
-            if variant not in config.alexa_variants:
+        for label, variant in _ALEXA_VARIANTS.items():
+            if label not in config.alexa_variants:
                 continue
-            run_name = f"alexa-{variant}"
-            plan = alexa_plans[variant] = alexa_crawler.plan_shards(
-                alexa_domains, shards=n_shards, run_name=run_name,
-                cache=cache, **patch,
+            plan = alexa_plans[label] = alexa_crawler.plan_shards(
+                alexa_domains, variant, shards=n_shards, cache=cache,
             )
-            with timings.stage(f"crawl-{run_name}", items=pending_items(plan)):
-                alexa_runs[variant] = alexa_crawler.run(
-                    alexa_domains, run_name=run_name, executor=executor,
-                    cache=cache, plan=plan, runlog=runlog, **patch,
+            with timings.stage(f"crawl-{variant.name}", items=pending_items(plan)):
+                alexa_runs[label] = alexa_crawler.run(
+                    alexa_domains, variant, executor=executor, cache=cache,
+                    plan=plan, runlog=runlog,
                 )
         # "We review the intersection of websites for comparability."
         common = sorted(set.intersection(*(

@@ -35,7 +35,17 @@ import argparse
 import random
 import sys
 
+from repro.evolve.policy import POLICIES
+from repro.faults.plan import FAULTS
+from repro.h3.plan import H3_PROFILES
+from repro.util.scenario import Registry
+
 __all__ = ["build_parser", "main"]
+
+
+def _scenario_names(registry: Registry, *, skip: tuple[str, ...] = ()) -> str:
+    """A registry's scenario names for a help string, comma-joined."""
+    return ", ".join(name for name in registry.names() if name not in skip)
 
 
 def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
@@ -70,9 +80,7 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fault-profile", default="none",
         help="named fault scenario injected into every crawl visit: "
-             "none, flaky-dns, broken-tls, h2-churn, slow-origin, "
-             "chaos, or the task-level worker-crash, worker-poison, "
-             "cache-rot (see repro.faults)",
+             f"{_scenario_names(FAULTS)} (see repro.faults)",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -100,13 +108,12 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--evolution-policy", default="none",
         help="named ecosystem-churn policy evolving the world per "
-             "epoch: none, cert-rotation, dns-churn, cdn-migration, "
-             "shard-consolidation, h3-rollout or mixed (see repro.evolve)",
+             f"epoch: {_scenario_names(POLICIES)} (see repro.evolve)",
     )
     parser.add_argument(
         "--h3-profile", default="none",
         help="named HTTP/3 alt-svc adoption profile for the synthetic "
-             "world: none, cdn-first, broad, or adopt-<fraction> "
+             f"world: {_scenario_names(H3_PROFILES)}, or adopt-<fraction> "
              "(see repro.h3)",
     )
 
@@ -261,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--sites", type=int, default=200)
     evolve.add_argument(
         "--policy", default=None,
-        help="named evolution policy: cert-rotation, dns-churn, "
-             "cdn-migration, shard-consolidation or mixed",
+        help="named evolution policy: "
+             f"{_scenario_names(POLICIES, skip=('none',))}",
     )
     _add_runtime_args(evolve)
     # For evolve, --epochs is the longitudinal horizon, not a world

@@ -1,6 +1,6 @@
 """Measurement harnesses: HTTP Archive crawl, Alexa runs, overlap."""
 
-from repro.crawl.alexa import AlexaCrawler, AlexaMeasurement, AlexaRun
+from repro.crawl.alexa import AlexaCrawler, AlexaMeasurement, AlexaRun, AlexaVariant
 from repro.crawl.classify import (
     ClassifiedDataset,
     classify_dataset,
@@ -14,6 +14,7 @@ __all__ = [
     "AlexaCrawler",
     "AlexaMeasurement",
     "AlexaRun",
+    "AlexaVariant",
     "ClassifiedDataset",
     "classify_dataset",
     "merge_classified_datasets",

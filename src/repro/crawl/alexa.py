@@ -20,37 +20,47 @@ gets its own time slot, browser and RNG streams derived from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.browser.browser import BrowserConfig, ChromiumBrowser
+from repro.browser.browser import BrowserConfig
 from repro.crawl.classify import (
     ClassifiedDataset,
-    aggregate_classifications,
+    classify_cache_key,
     classify_item,
-    merge_classified_datasets,
+    plan_classification,
+    run_classification,
 )
-from repro.crawl.shards import (
-    CrawlShard,
-    fold_provenance,
-    plan_crawl_shards,
-    run_sharded_stage,
-)
+from repro.crawl.shards import CrawlShard
+from repro.crawl.site import SiteCrawler, SiteTask, open_site
 from repro.core.session import LifetimeModel, SessionRecord
-from repro.faults.plan import FaultPlan
 from repro.netlog.parser import parse_sessions
-from repro.runtime import Executor, SerialExecutor, ecosystem_for, prime_ecosystem
+from repro.runtime import Executor
 from repro.store import StudyCache, stable_key
 from repro.util.clock import SimClock
 from repro.util.rng import RngFactory, stable_hash
 from repro.util.scenario import merge_counts
-from repro.web.ecosystem import Ecosystem, EcosystemConfig
+from repro.web.ecosystem import Ecosystem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runlog import RunContext
 
-__all__ = ["AlexaMeasurement", "AlexaRun", "AlexaCrawler"]
+__all__ = ["AlexaMeasurement", "AlexaRun", "AlexaCrawler", "AlexaVariant"]
+
+
+@dataclass(frozen=True)
+class AlexaVariant:
+    """What names one Alexa run: its name, browser patch and schedule.
+
+    ``name`` seeds the run's per-site RNG streams and fault plans and
+    names its journal stage; ``run_offset`` shifts the run's schedule
+    so two runs of one crawler do not overlap in simulated time.
+    """
+
+    name: str
+    ignore_privacy_mode: bool = False
+    honor_origin_frame: bool = False
+    run_offset: float = 0.0
 
 
 @dataclass
@@ -68,37 +78,20 @@ class AlexaMeasurement:
     fault_counts: tuple[tuple[str, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class _AlexaSiteTask:
-    """Everything one worker needs to measure one site in one run."""
+@dataclass(frozen=True, kw_only=True)
+class _AlexaSiteTask(SiteTask):
+    """One site of one Alexa run."""
 
-    ecosystem_config: EcosystemConfig
-    seed: int
     run_name: str
-    domain: str
-    start_time: float
-    vantage_country: str
-    ignore_privacy_mode: bool
-    honor_origin_frame: bool
-    observe_s: float
     permanent_unreachable_share: float
     transient_unreachable_share: float
-    fault_profile: str = "none"
-    #: Retry generation (set by the run layer's re-dispatch); feeds
-    #: only the attempt-bounded ``worker-crash`` fault, never an RNG
-    #: stream, so a task's *output* is attempt-independent.
-    attempt: int = 0
-
-
-def _permanently_down(seed: int, domain: str, share: float) -> bool:
-    """Site-persistent unreachability: run-independent, seed-stable."""
-    return stable_hash("down", seed, domain) % 10_000 < share * 10_000
 
 
 def _measure_one_site(task: _AlexaSiteTask) -> AlexaMeasurement:
     """One Browsertime-style visit (runs inside an executor worker)."""
-    permanently_down = _permanently_down(
-        task.seed, task.domain, task.permanent_unreachable_share
+    # Site-persistent unreachability: run-independent, seed-stable.
+    permanently_down = stable_hash("down", task.seed, task.domain) % 10_000 < (
+        task.permanent_unreachable_share * 10_000
     )
     rng = RngFactory(stable_hash(task.seed, task.run_name, "site", task.domain))
     transient = (
@@ -107,36 +100,12 @@ def _measure_one_site(task: _AlexaSiteTask) -> AlexaMeasurement:
     if permanently_down or transient:
         return AlexaMeasurement(domain=task.domain, unreachable=True)
 
-    ecosystem = ecosystem_for(task.ecosystem_config)
-    plan = FaultPlan.compile(
-        task.fault_profile, seed=task.seed, run=task.run_name,
-        domain=task.domain,
-    )
-    if plan is not None and plan.task_crash(task.attempt):
-        from repro.runlog.errors import WorkerCrashError
-
-        raise WorkerCrashError(
-            f"injected worker crash measuring {task.domain} in "
-            f"{task.run_name} (attempt {task.attempt})"
-        )
-    resolver = ecosystem.make_resolver("internal")
-    if plan is not None:
-        resolver.faults = plan
-    browser = ChromiumBrowser(
-        ecosystem=ecosystem,
-        resolver=resolver,
+    browser, fault_counts = open_site(
+        task, run=task.run_name, resolver="internal", rng=rng,
         clock=SimClock(task.start_time),
-        rng=rng.stream("browser"),
-        config=BrowserConfig(
-            vantage_country=task.vantage_country,
-            ignore_privacy_mode=task.ignore_privacy_mode,
-            honor_origin_frame=task.honor_origin_frame,
-            observe_s=task.observe_s,
-        ),
-        faults=plan,
     )
     visit = browser.visit(task.domain)
-    counts = plan.counts() if plan is not None else ()
+    counts = fault_counts()
     if visit.unreachable:
         return AlexaMeasurement(
             domain=task.domain, unreachable=True, fault_counts=counts
@@ -156,7 +125,6 @@ class AlexaRun:
     """One full crawl of the Alexa list."""
 
     name: str
-    ignore_privacy_mode: bool
     measurements: dict[str, AlexaMeasurement] = field(default_factory=dict)
     #: Stable key of the crawl configuration that produced this run
     #: (set by the crawler); classification caching derives from it.
@@ -182,18 +150,6 @@ class AlexaRun:
     def unreachable_count(self) -> int:
         return sum(1 for m in self.measurements.values() if m.unreachable)
 
-    def classify_cache_key(
-        self, shard: CrawlShard, model: LifetimeModel, name: str,
-        sites: list[str] | None,
-    ) -> str | None:
-        """Cache key for classifying one crawl shard, ``None`` uncached."""
-        if shard.key is None:
-            return None
-        return stable_key(
-            "classify-alexa", shard.key, model.value, name,
-            tuple(sites) if sites is not None else None,
-        )
-
     def classify_plan(
         self, model: LifetimeModel, name: str | None = None, *,
         sites: list[str] | None = None,
@@ -208,31 +164,14 @@ class AlexaRun:
         provenance.  Keys are hashed only with a ``cache``.
         """
         name = name or f"{self.name}-{model.value}"
-        if crawl_plan is None:
-            crawl_plan = [CrawlShard(
-                index=0, domains=tuple(self.measurements), key=self.provenance
-            )]
-        plan = []
-        for shard in crawl_plan:
-            members = set(shard.domains)
-            chosen = [
-                site for site in (self.reachable_sites if sites is None
-                                  else sites)
-                if site in members
-            ]
-            key = self.classify_cache_key(
-                shard, model, name, None if sites is None else chosen
-            ) if cache is not None else None
-            plan.append(CrawlShard(
-                index=shard.index,
-                domains=tuple(
-                    site for site in chosen
-                    if not self.measurements[site].unreachable
-                ),
-                key=key,
-                cached=key is not None and cache.contains("classify", key),
-            ))
-        return plan
+        return plan_classification(
+            self.measurements, self.reachable_sites, self.provenance,
+            lambda shard, chosen: classify_cache_key(
+                "alexa", shard, model, name,
+                None if sites is None else tuple(chosen),
+            ),
+            sites=sites, crawl_plan=crawl_plan, cache=cache,
+        )
 
     def classify(
         self, *, model: LifetimeModel, asdb=None, name: str | None = None,
@@ -243,36 +182,28 @@ class AlexaRun:
     ) -> ClassifiedDataset:
         """Classify (a subset of) the run under ``model``.
 
-        Runs as stage ``classify-<name>`` of the shard driver over
+        Runs :func:`~repro.crawl.classify.run_classification` over
         ``plan`` (default: one shard over ``sites`` of the whole run,
-        see :meth:`classify_plan`).  With a ``cache`` (and a
-        crawler-set provenance) each shard's dataset is loaded from /
-        stored to disk keyed on the crawl configuration, the lifetime
-        model and the site subset; a ``runlog`` journals, retries and
-        quarantines the shards like the crawls.
+        see :meth:`classify_plan`).
         """
         name = name or f"{self.name}-{model.value}"
         if plan is None:
             plan = self.classify_plan(model, name, sites=sites, cache=cache)
-        return run_sharded_stage(
-            f"classify-{name}", "classify", plan, classify_item,
+        return run_classification(
+            name, model, plan, classify_item,
             lambda shard: [
                 (site, self.measurements[site].records, model.value)
                 for site in shard.domains
             ],
-            lambda shard, classified: aggregate_classifications(
-                name, model, zip(shard.domains, classified), asdb=asdb
-            ),
-            lambda parts: merge_classified_datasets(
-                name, model, parts, asdb=asdb
-            ),
-            executor=executor or SerialExecutor(), cache=cache, runlog=runlog,
+            asdb=asdb, executor=executor, cache=cache, runlog=runlog,
         )
 
 
 @dataclass
-class AlexaCrawler:
+class AlexaCrawler(SiteCrawler):
     """Runs Browsertime-style crawls over the Alexa list."""
+
+    kind = "alexa-crawl"
 
     ecosystem: Ecosystem
     seed: int = 23
@@ -292,22 +223,13 @@ class AlexaCrawler:
         """Simulated time reserved per site in a run."""
         return self.observe_s + 10.0
 
-    def _permanently_down(self, domain: str) -> bool:
-        return _permanently_down(
-            self.seed, domain, self.permanent_unreachable_share
-        )
-
     def shard_key(
         self,
         domains: tuple[str, ...],
         offsets: tuple[int, ...],
-        *,
-        run_name: str,
-        ignore_privacy_mode: bool = False,
-        honor_origin_frame: bool = False,
-        run_offset: float = 0.0,
+        variant: AlexaVariant,
     ) -> str:
-        """Stable cache key of one shard of one run configuration.
+        """Stable cache key of one shard of one run of ``variant``.
 
         Like the HTTP Archive shard key: the shard domains' world
         identity (pristine config + evolution token), the run knobs,
@@ -323,135 +245,73 @@ class AlexaCrawler:
             self.permanent_unreachable_share,
             self.transient_unreachable_share,
             self.fault_profile,
-            run_name,
-            ignore_privacy_mode,
-            honor_origin_frame,
-            run_offset,
+            variant.name,
+            variant.ignore_privacy_mode,
+            variant.honor_origin_frame,
+            variant.run_offset,
             domains,
             offsets,
-        )
-
-    def stage_key(
-        self,
-        domains: list[str],
-        *,
-        run_name: str,
-        ignore_privacy_mode: bool = False,
-        honor_origin_frame: bool = False,
-        run_offset: float = 0.0,
-    ) -> str:
-        """The 1-shard (whole-list) :meth:`shard_key` of ``domains``."""
-        return self.shard_key(
-            tuple(domains), tuple(range(len(domains))),
-            run_name=run_name, ignore_privacy_mode=ignore_privacy_mode,
-            honor_origin_frame=honor_origin_frame, run_offset=run_offset,
-        )
-
-    def plan_shards(
-        self,
-        domains: list[str],
-        *,
-        shards: int = 1,
-        run_name: str,
-        ignore_privacy_mode: bool = False,
-        honor_origin_frame: bool = False,
-        run_offset: float = 0.0,
-        cache: StudyCache | None = None,
-    ) -> list[CrawlShard]:
-        """The deterministic shard plan for one run over ``domains``."""
-        keyer = partial(
-            self.shard_key, run_name=run_name,
-            ignore_privacy_mode=ignore_privacy_mode,
-            honor_origin_frame=honor_origin_frame, run_offset=run_offset,
-        )
-        return plan_crawl_shards(
-            domains, shards,
-            keyer=keyer if cache is not None else None,
-            contains=(
-                (lambda key: cache.contains("alexa-crawl", key))
-                if cache is not None else None
-            ),
         )
 
     def run(
         self,
         domains: list[str],
+        variant: AlexaVariant,
         *,
-        run_name: str,
-        ignore_privacy_mode: bool = False,
-        honor_origin_frame: bool = False,
-        run_offset: float = 0.0,
         executor: Executor | None = None,
         cache: StudyCache | None = None,
         shards: int = 1,
         plan: list[CrawlShard] | None = None,
         runlog: "RunContext | None" = None,
     ) -> AlexaRun:
-        """One crawl over ``domains`` with the given browser patch.
+        """One crawl over ``domains`` as run ``variant``.
 
-        With a ``cache``, shards previously crawled under an identical
-        configuration load from disk and only the missing shards visit
-        any site; ``plan`` passes a precomputed :meth:`plan_shards`.
-        A ``runlog`` journals (as stage ``run_name``), retries and — on
-        poison — quarantines shards exactly like the HTTP Archive crawl.
+        Journal stage ``variant.name``; ``plan`` passes a precomputed
+        :meth:`plan_shards`; see :class:`~repro.crawl.site.SiteCrawler`
+        for ``cache`` and ``runlog``.
         """
         if plan is None:
-            plan = self.plan_shards(
-                domains, shards=shards, run_name=run_name,
-                ignore_privacy_mode=ignore_privacy_mode,
-                honor_origin_frame=honor_origin_frame,
-                run_offset=run_offset, cache=cache,
-            )
+            plan = self.plan_shards(domains, variant, shards=shards, cache=cache)
+        browser = BrowserConfig(
+            vantage_country=self.vantage_country,
+            ignore_privacy_mode=variant.ignore_privacy_mode,
+            honor_origin_frame=variant.honor_origin_frame,
+            observe_s=self.observe_s,
+        )
 
-        def shard_tasks(shard: CrawlShard) -> list[_AlexaSiteTask]:
-            prime_ecosystem(self.ecosystem)
-            return [
-                _AlexaSiteTask(
-                    ecosystem_config=self.ecosystem.config,
-                    seed=self.seed,
-                    run_name=run_name,
-                    domain=domain,
-                    start_time=(
-                        self.start_time + run_offset
-                        + offset * self.site_slot_s
-                    ),
-                    vantage_country=self.vantage_country,
-                    ignore_privacy_mode=ignore_privacy_mode,
-                    honor_origin_frame=honor_origin_frame,
-                    observe_s=self.observe_s,
-                    permanent_unreachable_share=(
-                        self.permanent_unreachable_share
-                    ),
-                    transient_unreachable_share=(
-                        self.transient_unreachable_share
-                    ),
-                    fault_profile=self.fault_profile,
-                )
-                for domain, offset in zip(shard.domains, shard.offsets)
-            ]
+        start = self.start_time + variant.run_offset
+
+        def task(domain: str, offset: int) -> _AlexaSiteTask:
+            return _AlexaSiteTask(
+                ecosystem_config=self.ecosystem.config,
+                seed=self.seed,
+                domain=domain,
+                start_time=start + offset * self.site_slot_s,
+                browser=browser,
+                fault_profile=self.fault_profile,
+                run_name=variant.name,
+                permanent_unreachable_share=self.permanent_unreachable_share,
+                transient_unreachable_share=self.transient_unreachable_share,
+            )
 
         def shard_part(
             shard: CrawlShard, results: list[AlexaMeasurement]
         ) -> AlexaRun:
             return AlexaRun(
-                name=run_name, ignore_privacy_mode=ignore_privacy_mode,
+                name=variant.name,
                 measurements={
                     measurement.domain: measurement for measurement in results
                 },
                 provenance=shard.key,
             )
 
-        def fold(parts: list[AlexaRun]) -> AlexaRun:
-            merged = AlexaRun(
-                name=run_name, ignore_privacy_mode=ignore_privacy_mode,
-                provenance=fold_provenance("alexa-crawl", plan, parts),
-            )
+        def fold(parts: list[AlexaRun], provenance: str | None) -> AlexaRun:
+            merged = AlexaRun(name=variant.name, provenance=provenance)
             for part in parts:
                 merged.measurements.update(part.measurements)
             return merged
 
-        return run_sharded_stage(
-            run_name, "alexa-crawl", plan, _measure_one_site, shard_tasks,
-            shard_part, fold, executor=executor or SerialExecutor(), cache=cache,
-            runlog=runlog, reattempt=lambda task, n: replace(task, attempt=n),
+        return self._crawl_stage(
+            variant.name, plan, _measure_one_site, task, shard_part, fold,
+            executor=executor, cache=cache, runlog=runlog,
         )

@@ -16,33 +16,30 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.browser.browser import BrowserConfig, ChromiumBrowser
+from repro.browser.browser import BrowserConfig
 from repro.crawl.classify import (
     ClassifiedDataset,
-    aggregate_classifications,
-    merge_classified_datasets,
+    Outcome,
+    classify_cache_key,
+    plan_classification,
+    run_classification,
 )
-from repro.crawl.shards import (
-    CrawlShard,
-    fold_provenance,
-    plan_crawl_shards,
-    run_sharded_stage,
-)
-from repro.core.classifier import SiteClassification, classify_site
+from repro.crawl.shards import CrawlShard
+from repro.crawl.site import SiteCrawler, SiteTask, open_site
+from repro.core.classifier import classify_site
 from repro.core.session import LifetimeModel
-from repro.faults.plan import FaultPlan
 from repro.har.model import HarFile
-from repro.har.reader import FilterStats, read_sessions
+from repro.har.reader import read_sessions
 from repro.har.writer import HarNoiseConfig, write_har
-from repro.runtime import Executor, SerialExecutor, ecosystem_for, prime_ecosystem
+from repro.runtime import Executor
 from repro.store import StudyCache, stable_key
 from repro.util.clock import SimClock
 from repro.util.rng import RngFactory, stable_hash
 from repro.util.scenario import merge_counts
-from repro.web.ecosystem import Ecosystem, EcosystemConfig
+from repro.web.ecosystem import Ecosystem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runlog import RunContext
@@ -50,23 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["HarCorpus", "HttpArchiveCrawler"]
 
 
-@dataclass(frozen=True)
-class _HaSiteTask:
-    """Everything one worker needs to crawl one site."""
+@dataclass(frozen=True, kw_only=True)
+class _HaSiteTask(SiteTask):
+    """One site of the HTTP Archive crawl."""
 
-    ecosystem_config: EcosystemConfig
-    seed: int
-    domain: str
-    start_time: float
-    vantage_country: str
     noise: HarNoiseConfig
     loads_per_site: int
-    observe_s: float
-    fault_profile: str = "none"
-    #: Retry generation (set by the run layer's re-dispatch); feeds
-    #: only the attempt-bounded ``worker-crash`` fault, never an RNG
-    #: stream, so a task's *output* is attempt-independent.
-    attempt: int = 0
 
 
 def _crawl_one_site(
@@ -74,37 +60,14 @@ def _crawl_one_site(
 ) -> tuple[str, HarFile | None, tuple[tuple[str, int], ...]]:
     """Visit one site ``loads_per_site`` times; keep the median HAR.
 
-    Returns ``(domain, median HAR or None, fired-fault counts)``; the
-    fault plan — like every RNG stream — derives from the task's
-    ``(seed, run, domain)``, so the same faults strike under any
-    executor.  One plan spans all three loads of the site.
+    Returns ``(domain, median HAR or None, fired-fault counts)``.  One
+    fault plan spans all three loads of the site.
     """
-    ecosystem = ecosystem_for(task.ecosystem_config)
     rng = RngFactory(stable_hash(task.seed, "ha-site", task.domain))
     clock = SimClock(task.start_time)
-    plan = FaultPlan.compile(
-        task.fault_profile, seed=task.seed, run="httparchive",
-        domain=task.domain,
-    )
-    if plan is not None and plan.task_crash(task.attempt):
-        from repro.runlog.errors import WorkerCrashError
-
-        raise WorkerCrashError(
-            f"injected worker crash visiting {task.domain} "
-            f"(attempt {task.attempt})"
-        )
-    resolver = ecosystem.make_resolver("httparchive-crux")
-    if plan is not None:
-        resolver.faults = plan
-    browser = ChromiumBrowser(
-        ecosystem=ecosystem,
-        resolver=resolver,
+    browser, fault_counts = open_site(
+        task, run="httparchive", resolver="httparchive-crux", rng=rng,
         clock=clock,
-        rng=rng.stream("browser"),
-        config=BrowserConfig(
-            vantage_country=task.vantage_country, observe_s=task.observe_s
-        ),
-        faults=plan,
     )
     gap_rng = rng.stream("gaps")
     visits = []
@@ -114,7 +77,7 @@ def _crawl_one_site(
             break
         visits.append(visit)
         clock.advance(gap_rng.uniform(1.0, 5.0))
-    counts = plan.counts() if plan is not None else ()
+    counts = fault_counts()
     if not visits:
         return task.domain, None, counts
     # Median of three by onLoad time, like the HTTP Archive.
@@ -124,16 +87,14 @@ def _crawl_one_site(
     return task.domain, har, counts
 
 
-def _sanitize_and_classify(
-    item: tuple[str, HarFile, str],
-) -> tuple[str, SiteClassification, FilterStats]:
+def _sanitize_and_classify(item: tuple[str, HarFile, str]) -> Outcome:
     """Worker-side §4.3 sanitisation + §4.1 classification of one HAR."""
     site, har, model_value = item
     result = read_sessions(har)
     classification = classify_site(
         site, result.records, model=LifetimeModel(model_value)
     )
-    return site, classification, result.stats
+    return classification, result.stats
 
 
 @dataclass
@@ -150,14 +111,6 @@ class HarCorpus:
     #: (empty without a fault profile); feeds the resilience taxonomy.
     fault_counts: dict[str, int] = field(default_factory=dict)
 
-    def classify_cache_key(
-        self, shard: CrawlShard, model: LifetimeModel, name: str
-    ) -> str | None:
-        """Cache key for classifying one crawl shard, ``None`` uncached."""
-        if shard.key is None:
-            return None
-        return stable_key("classify-har", shard.key, model.value, name)
-
     def classify_plan(
         self, model: LifetimeModel, name: str | None = None, *,
         crawl_plan: list[CrawlShard] | None = None,
@@ -170,24 +123,11 @@ class HarCorpus:
         its provenance.  Keys are hashed only with a ``cache``.
         """
         name = name or f"{self.name}-{model.value}"
-        if crawl_plan is None:
-            crawl_plan = [CrawlShard(
-                index=0, domains=tuple(self.hars), key=self.provenance
-            )]
-        plan = []
-        for shard in crawl_plan:
-            members = set(shard.domains)
-            key = (
-                self.classify_cache_key(shard, model, name)
-                if cache is not None else None
-            )
-            plan.append(CrawlShard(
-                index=shard.index,
-                domains=tuple(site for site in self.hars if site in members),
-                key=key,
-                cached=key is not None and cache.contains("classify", key),
-            ))
-        return plan
+        return plan_classification(
+            self.hars, list(self.hars), self.provenance,
+            lambda shard, _: classify_cache_key("har", shard, model, name),
+            crawl_plan=crawl_plan, cache=cache,
+        )
 
     def classify(
         self, *, model: LifetimeModel, asdb=None, name: str | None = None,
@@ -197,46 +137,27 @@ class HarCorpus:
     ) -> ClassifiedDataset:
         """Sanitize all HARs and classify under ``model``.
 
-        Runs as stage ``classify-<name>`` of the shard driver over
+        Runs :func:`~repro.crawl.classify.run_classification` over
         ``plan`` (default: one shard over the whole corpus, see
-        :meth:`classify_plan`).  With a ``cache`` (and a crawler-set
-        provenance) each shard's dataset is loaded from / stored to
-        disk keyed on the crawl configuration plus the lifetime model;
-        a ``runlog`` journals, retries and quarantines the shards like
-        the crawls.
+        :meth:`classify_plan`).
         """
         name = name or f"{self.name}-{model.value}"
         if plan is None:
             plan = self.classify_plan(model, name, cache=cache)
-
-        def part(shard: CrawlShard, outcomes: list) -> ClassifiedDataset:
-            stats = FilterStats()
-            for _, _, site_stats in outcomes:
-                stats.merge(site_stats)
-            dataset = aggregate_classifications(
-                name, model,
-                [(site, classification) for site, classification, _ in outcomes],
-                asdb=asdb,
-            )
-            dataset.filter_stats = stats  # type: ignore[attr-defined]
-            return dataset
-
-        return run_sharded_stage(
-            f"classify-{name}", "classify", plan, _sanitize_and_classify,
+        return run_classification(
+            name, model, plan, _sanitize_and_classify,
             lambda shard: [
                 (site, self.hars[site], model.value) for site in shard.domains
             ],
-            part,
-            lambda parts: merge_classified_datasets(
-                name, model, parts, asdb=asdb
-            ),
-            executor=executor or SerialExecutor(), cache=cache, runlog=runlog,
+            asdb=asdb, executor=executor, cache=cache, runlog=runlog,
         )
 
 
 @dataclass
-class HttpArchiveCrawler:
+class HttpArchiveCrawler(SiteCrawler):
     """Visits sites three times and keeps the median-load HAR."""
+
+    kind = "har-crawl"
 
     ecosystem: Ecosystem
     seed: int = 11
@@ -280,45 +201,6 @@ class HttpArchiveCrawler:
             offsets,
         )
 
-    def stage_key(self, domains: list[str]) -> str:
-        """The 1-shard (whole-list) :meth:`shard_key` of ``domains``."""
-        return self.shard_key(tuple(domains), tuple(range(len(domains))))
-
-    def plan_shards(
-        self, domains: list[str], *, shards: int = 1,
-        cache: StudyCache | None = None,
-    ) -> list[CrawlShard]:
-        """The deterministic shard plan for a crawl over ``domains``.
-
-        Uncached plans skip key hashing entirely.
-        """
-        return plan_crawl_shards(
-            domains, shards,
-            keyer=self.shard_key if cache is not None else None,
-            contains=(
-                (lambda key: cache.contains("har-crawl", key))
-                if cache is not None else None
-            ),
-        )
-
-    def _shard_tasks(self, shard: CrawlShard) -> list[_HaSiteTask]:
-        """One worker task per site of ``shard``, at its global slot."""
-        prime_ecosystem(self.ecosystem)
-        return [
-            _HaSiteTask(
-                ecosystem_config=self.ecosystem.config,
-                seed=self.seed,
-                domain=domain,
-                start_time=self.start_time + offset * self.site_slot_s,
-                vantage_country=self.vantage_country,
-                noise=self.noise,
-                loads_per_site=self.loads_per_site,
-                observe_s=self.observe_s,
-                fault_profile=self.fault_profile,
-            )
-            for domain, offset in zip(shard.domains, shard.offsets)
-        ]
-
     @staticmethod
     def _shard_part(shard: CrawlShard, results: list) -> HarCorpus:
         """One shard's sub-corpus from its site results."""
@@ -339,30 +221,35 @@ class HttpArchiveCrawler:
     ) -> HarCorpus:
         """Crawl ``domains`` (default: the ecosystem's CrUX-like sample).
 
-        With a ``cache``, shards previously crawled under an identical
-        configuration load from disk and only the missing shards visit
-        any site; ``plan`` passes a precomputed :meth:`plan_shards`.
-        The fold over shard sub-corpora is output-identical to the
-        monolithic crawl for every shard count.
-
-        A ``runlog`` (see :mod:`repro.runlog`) journals every shard,
-        retries transient failures, and quarantines poisoned shards —
-        the fold then simply proceeds without them, and the study's
-        coverage block owns up to the gap.
+        ``plan`` passes a precomputed :meth:`plan_shards`; see
+        :class:`~repro.crawl.site.SiteCrawler` for ``cache`` and
+        ``runlog``.
         """
         if domains is None:
             domains = self.ecosystem.httparchive_sample(seed=self.seed)
         if plan is None:
             plan = self.plan_shards(domains, shards=shards, cache=cache)
+        browser = BrowserConfig(
+            vantage_country=self.vantage_country, observe_s=self.observe_s
+        )
 
-        def fold(parts: list[HarCorpus]) -> HarCorpus:
+        def task(domain: str, offset: int) -> _HaSiteTask:
+            return _HaSiteTask(
+                ecosystem_config=self.ecosystem.config,
+                seed=self.seed,
+                domain=domain,
+                start_time=self.start_time + offset * self.site_slot_s,
+                browser=browser,
+                fault_profile=self.fault_profile,
+                noise=self.noise,
+                loads_per_site=self.loads_per_site,
+            )
+
+        def fold(parts: list[HarCorpus], provenance: str | None) -> HarCorpus:
             # Shards partition the domain list, so the union is
             # lossless; everything downstream is order-insensitive (the
             # digest sorts sites, counters add).
-            merged = HarCorpus(
-                name="httparchive",
-                provenance=fold_provenance("har-crawl", plan, parts),
-            )
+            merged = HarCorpus(name="httparchive", provenance=provenance)
             for part in parts:
                 merged.hars.update(part.hars)
                 merged.unreachable.extend(part.unreachable)
@@ -371,9 +258,7 @@ class HttpArchiveCrawler:
                 )
             return merged
 
-        return run_sharded_stage(
-            "har-crawl", "har-crawl", plan, _crawl_one_site, self._shard_tasks,
-            self._shard_part, fold, executor=executor or SerialExecutor(),
-            cache=cache, runlog=runlog,
-            reattempt=lambda task, n: replace(task, attempt=n),
+        return self._crawl_stage(
+            "har-crawl", plan, _crawl_one_site, task, self._shard_part, fold,
+            executor=executor, cache=cache, runlog=runlog,
         )

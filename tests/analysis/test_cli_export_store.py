@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 
@@ -13,6 +14,9 @@ from repro.analysis.tables import table1, table11
 from repro.cli import build_parser, main
 from repro.core.session import LifetimeModel
 from repro.crawl.httparchive import HttpArchiveCrawler
+from repro.evolve.policy import POLICIES
+from repro.faults.plan import FAULTS
+from repro.h3.plan import H3_PROFILES
 from repro.har.store import load_corpus, save_corpus
 
 
@@ -65,6 +69,42 @@ class TestCli:
         assert main(["validate", "--sites", "200"]) == 0
         out = capsys.readouterr().out
         assert "scorecard" in out
+
+
+class TestScenarioHelp:
+    """Scenario flag help is built from the registries, never by hand."""
+
+    @staticmethod
+    def _help(command: str, flag: str) -> str:
+        parser = build_parser()
+        (commands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        (action,) = [
+            action for action in commands.choices[command]._actions
+            if flag in action.option_strings
+        ]
+        return action.help
+
+    @pytest.mark.parametrize("command", ["study", "evolve"])
+    @pytest.mark.parametrize("flag, registry", [
+        ("--fault-profile", FAULTS),
+        ("--evolution-policy", POLICIES),
+        ("--h3-profile", H3_PROFILES),
+    ])
+    def test_every_registered_name_is_listed(self, command, flag, registry):
+        text = self._help(command, flag)
+        for name in registry.names():
+            assert name in text
+
+    def test_h3_help_keeps_the_parametric_spelling(self):
+        assert "adopt-<fraction>" in self._help("study", "--h3-profile")
+
+    def test_evolve_policy_lists_every_policy_but_none(self):
+        text = self._help("evolve", "--policy")
+        names = [name.strip() for name in text.split(":", 1)[1].split(",")]
+        assert names == [name for name in POLICIES.names() if name != "none"]
 
 
 class TestExport:

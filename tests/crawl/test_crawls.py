@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.session import LifetimeModel
-from repro.crawl.alexa import AlexaCrawler
+from repro.crawl.alexa import AlexaCrawler, AlexaVariant
 from repro.crawl.classify import classify_dataset
 from repro.crawl.httparchive import HttpArchiveCrawler
 from repro.crawl.overlap import overlap_datasets, overlap_sites
@@ -23,9 +23,10 @@ def ha_corpus(small_ecosystem):
 def alexa_runs(small_ecosystem):
     crawler = AlexaCrawler(ecosystem=small_ecosystem, seed=23)
     domains = small_ecosystem.alexa_list(40)
-    run = crawler.run(domains, run_name="t-fetch")
-    patched = crawler.run(domains, run_name="t-nofetch",
-                          ignore_privacy_mode=True, run_offset=100_000.0)
+    run = crawler.run(domains, AlexaVariant("t-fetch"))
+    patched = crawler.run(domains, AlexaVariant(
+        "t-nofetch", ignore_privacy_mode=True, run_offset=100_000.0
+    ))
     return run, patched
 
 
@@ -56,6 +57,22 @@ class TestHttpArchiveCrawler:
         corpus = crawler.crawl(small_ecosystem.alexa_list(10))
         dataset = corpus.classify(model=LifetimeModel.ENDLESS)
         assert dataset.filter_stats.socket_id_zero > 0
+
+    def test_sharded_filter_stats_add_up(self, small_ecosystem):
+        crawler = HttpArchiveCrawler(
+            ecosystem=small_ecosystem, seed=12,
+            noise=HarNoiseConfig(h3_socket_zero=0.2),
+        )
+        domains = small_ecosystem.alexa_list(10)
+        plan = crawler.plan_shards(domains, shards=3)
+        corpus = crawler.crawl(domains, plan=plan)
+        whole = corpus.classify(model=LifetimeModel.ENDLESS)
+        sharded = corpus.classify(
+            model=LifetimeModel.ENDLESS,
+            plan=corpus.classify_plan(LifetimeModel.ENDLESS, crawl_plan=plan),
+        )
+        assert len(plan) > 1
+        assert sharded.filter_stats == whole.filter_stats
 
     def test_deterministic(self, small_ecosystem):
         domains = small_ecosystem.alexa_list(8)
@@ -133,6 +150,31 @@ class TestOverlap:
         assert overlap_sites() == set()
 
 
+class TestSubset:
+    def test_generator_gives_the_same_subset_as_a_list(self, alexa_runs):
+        run, _ = alexa_runs
+        dataset = run.classify(model=LifetimeModel.ACTUAL, name="all")
+        wanted = list(dataset.classifications)[::3]
+        from_list = dataset.subset(wanted, name="s")
+        from_generator = dataset.subset((site for site in wanted), name="s")
+        assert len(wanted) > 1
+        assert list(from_generator.classifications) == list(
+            from_list.classifications
+        )
+        assert set(from_list.classifications) == set(wanted)
+        assert from_generator.report == from_list.report
+
+    def test_subset_reaggregates_like_a_fresh_fold(self, alexa_runs):
+        run, _ = alexa_runs
+        dataset = run.classify(model=LifetimeModel.ACTUAL, name="all")
+        wanted = list(dataset.classifications)[:7]
+        subset = dataset.subset(wanted, name="s")
+        fresh = run.classify(model=LifetimeModel.ACTUAL, name="s", sites=wanted)
+        assert subset.name == "s"
+        assert subset.report == fresh.report
+        assert subset.filter_stats is None
+
+
 class TestClassifyDataset:
     def test_aggregates_all_sites(self, alexa_runs, small_ecosystem):
         run, _ = alexa_runs
@@ -146,3 +188,4 @@ class TestClassifyDataset:
                                    asdb=small_ecosystem.asdb)
         assert dataset.report.total_sites == len(site_records)
         assert dataset.attribution.ip_as_connections  # AS attribution ran
+        assert dataset.filter_stats is None  # NetLog data is not sanitised

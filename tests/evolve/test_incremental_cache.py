@@ -20,7 +20,7 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.digest import study_digest
-from repro.analysis.study import Study, StudyConfig
+from repro.analysis.study import ALEXA_FETCH, ALEXA_NOFETCH, Study, StudyConfig
 from repro.crawl import HttpArchiveCrawler
 from repro.crawl.alexa import AlexaCrawler
 from repro.store import CacheStats, StudyCache
@@ -63,18 +63,11 @@ def _crawl_keys(config: StudyConfig) -> dict[tuple[str, int], str]:
     alexa_domains = ecosystem.alexa_list(
         max(1, int(config.n_sites * config.alexa_share))
     )
-    runs = {
-        "fetch": dict(run_name="alexa-fetch"),
-        "nofetch": dict(
-            run_name="alexa-nofetch", ignore_privacy_mode=True,
-            run_offset=500_000.0,
-        ),
-    }
-    for stage, kwargs in runs.items():
-        plan = alexa.plan_shards(alexa_domains, shards=_N_SHARDS, **kwargs)
+    for stage, variant in (("fetch", ALEXA_FETCH), ("nofetch", ALEXA_NOFETCH)):
+        plan = alexa.plan_shards(alexa_domains, variant, shards=_N_SHARDS)
         for shard in plan:
             keys[(stage, shard.index)] = alexa.shard_key(
-                shard.domains, shard.offsets, **kwargs
+                shard.domains, shard.offsets, variant
             )
     return keys
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.study import StudyConfig
 from repro.core.session import LifetimeModel
-from repro.crawl.alexa import AlexaCrawler
+from repro.crawl.alexa import AlexaCrawler, AlexaVariant
 from repro.crawl.httparchive import HttpArchiveCrawler
 from repro.store import CacheStats, StudyCache, stable_key
 from repro.web.ecosystem import EcosystemConfig
@@ -167,16 +167,16 @@ class TestCrawlCaching:
         cache = StudyCache(tmp_path)
         crawler = AlexaCrawler(ecosystem=small_ecosystem, seed=52)
         domains = small_ecosystem.alexa_list(8)
-        cold = crawler.run(domains, run_name="alexa-fetch", cache=cache)
-        warm = crawler.run(domains, run_name="alexa-fetch", cache=cache)
+        cold = crawler.run(domains, AlexaVariant("alexa-fetch"), cache=cache)
+        warm = crawler.run(domains, AlexaVariant("alexa-fetch"), cache=cache)
         assert cache.counters["alexa-crawl"].hits == 1
         assert set(warm.measurements) == set(cold.measurements)
 
     def test_run_name_invalidates_alexa_key(self, small_ecosystem):
         crawler = AlexaCrawler(ecosystem=small_ecosystem, seed=52)
         domains = small_ecosystem.alexa_list(4)
-        assert crawler.stage_key(domains, run_name="a") != crawler.stage_key(
-            domains, run_name="b"
+        assert crawler.stage_key(domains, AlexaVariant("a")) != (
+            crawler.stage_key(domains, AlexaVariant("b"))
         )
 
     def test_classification_caches_on_provenance(self, small_ecosystem, tmp_path):
