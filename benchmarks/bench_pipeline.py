@@ -18,7 +18,6 @@ from repro.crawl.classify import classify_dataset
 from repro.har.reader import read_sessions
 from repro.har.writer import HarNoiseConfig, write_har
 from repro.netlog.parser import parse_sessions
-from repro.runtime import SerialExecutor, ThreadExecutor
 from repro.util.clock import SimClock
 
 
@@ -91,8 +90,8 @@ def test_classifier_throughput(benchmark, visits):
     assert result.h2_connections >= 0
 
 
-def test_corpus_classification_serial(benchmark, visits):
-    """Whole-corpus classification through the serial executor."""
+def test_corpus_classification(benchmark, visits):
+    """Whole-corpus classification, as the study runs it: in process."""
     site_records = {
         visit.domain: records_from_visit(visit) for visit in visits
     }
@@ -100,22 +99,6 @@ def test_corpus_classification_serial(benchmark, visits):
     dataset = benchmark(
         lambda: classify_dataset(
             "bench", site_records, model=LifetimeModel.ENDLESS,
-            executor=SerialExecutor(),
         )
     )
-    assert dataset.report.total_sites == len(site_records)
-
-
-def test_corpus_classification_threaded(benchmark, visits):
-    """Same fold through a thread pool (measures map_sites overhead)."""
-    site_records = {
-        visit.domain: records_from_visit(visit) for visit in visits
-    }
-    with ThreadExecutor(4) as executor:
-        dataset = benchmark(
-            lambda: classify_dataset(
-                "bench", site_records, model=LifetimeModel.ENDLESS,
-                executor=executor,
-            )
-        )
     assert dataset.report.total_sites == len(site_records)

@@ -86,10 +86,11 @@ class StudyConfig:
     #: Simulated duration of the DNS study.
     dns_study_days: float = 2.0
     ecosystem_overrides: dict = field(default_factory=dict)
-    #: Execution substrate for the per-site pipeline stages: "serial",
+    #: Execution substrate for the per-site crawl stages: "serial",
     #: "thread" or "process", optionally with a worker count
-    #: ("process:8").  Results are executor-independent by construction;
-    #: only wall-clock time changes.
+    #: ("process:8").  Classification always runs in the study process.
+    #: Results are executor-independent by construction; only
+    #: wall-clock time changes.
     executor: str = "serial"
     #: Worker count for pool executors (None: picked per machine).
     parallelism: int | None = None
@@ -340,7 +341,8 @@ class Study:
         )))
 
         # One classification stage per dataset, with one shard per
-        # crawl shard.  A quarantined crawl shard has no data in the
+        # crawl shard, run in this process: only the crawls go to the
+        # executor.  A quarantined crawl shard has no data in the
         # corpus: classifying its (empty) share would poison the cache
         # under the full shard's classify key, so it is left out.
         def live(plan: list[CrawlShard]) -> list[CrawlShard]:
@@ -376,8 +378,8 @@ class Study:
         ):
             datasets = {
                 name: classify(
-                    name=name, plan=plan, asdb=asdb, executor=executor,
-                    cache=cache, runlog=runlog,
+                    name=name, plan=plan, asdb=asdb, cache=cache,
+                    runlog=runlog,
                 )
                 for name, plan, classify in jobs
             }

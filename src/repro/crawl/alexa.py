@@ -175,8 +175,7 @@ class AlexaRun:
 
     def classify(
         self, *, model: LifetimeModel, asdb=None, name: str | None = None,
-        sites: list[str] | None = None, executor: Executor | None = None,
-        cache: StudyCache | None = None,
+        sites: list[str] | None = None, cache: StudyCache | None = None,
         plan: list[CrawlShard] | None = None,
         runlog: "RunContext | None" = None,
     ) -> ClassifiedDataset:
@@ -195,7 +194,7 @@ class AlexaRun:
                 (site, self.measurements[site].records, model.value)
                 for site in shard.domains
             ],
-            asdb=asdb, executor=executor, cache=cache, runlog=runlog,
+            asdb=asdb, cache=cache, runlog=runlog,
         )
 
 

@@ -7,6 +7,11 @@ corpus report, and build the attribution index (origins, issuers, ASes).
 
 Both crawl outputs classify through one planner and one driver; they
 differ only in their worker, which for HAR input sanitises (§4.3) first.
+
+Classification always runs in the calling (study) process, whatever
+executor the crawls use.  It is cheap next to a crawl, and shipping a
+site's records to a pool worker and its classification back costs the
+parent more than classifying inline, so no pool can make it pay.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.core.session import LifetimeModel, SessionRecord
 from repro.crawl.shards import CrawlShard, run_sharded_stage
 from repro.har.reader import FilterStats
 from repro.net.asdb import AsDatabase
-from repro.runtime import Executor, SerialExecutor
+from repro.runtime import SerialExecutor
 from repro.store import stable_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,7 +75,7 @@ class ClassifiedDataset:
 
 
 def classify_item(item: tuple[str, list[SessionRecord], str]) -> Outcome:
-    """Classify one site's NetLog records (runs in an executor worker)."""
+    """Classify one site's NetLog records."""
     site, records, model_value = item
     return classify_site(site, records, model=LifetimeModel(model_value)), None
 
@@ -84,10 +89,8 @@ def aggregate_classifications(
 ) -> ClassifiedDataset:
     """Fold per-site classifications into one dataset.
 
-    Aggregation is cheap and order-sensitive only in its iteration
-    order, so it always runs serially in the caller, in the order the
-    sites were submitted — which keeps the result independent of the
-    executor that produced the classifications.
+    Aggregation is order-sensitive only in its iteration order, so it
+    runs in the order the sites were submitted.
     """
     report = CorpusReport(name=name)
     attribution = AttributionIndex()
@@ -210,17 +213,17 @@ def run_classification(
     items: Callable[[CrawlShard], list[T]],
     *,
     asdb: AsDatabase | None = None,
-    executor: Executor | None = None,
     cache: "StudyCache | None" = None,
     runlog: "RunContext | None" = None,
 ) -> ClassifiedDataset:
     """Classify the shards of ``plan`` as dataset ``name``.
 
-    Runs as stage ``classify-<name>`` of the shard driver: each shard
-    loads from ``cache`` under its key or maps ``worker`` over
-    ``items(shard)``, one item per site in shard order, and becomes a
-    partial dataset; a ``runlog`` journals, retries and quarantines the
-    shards like the crawls.  The partials merge into the whole.
+    Runs as stage ``classify-<name>`` of the shard driver, in this
+    process: each shard loads from ``cache`` under its key or maps
+    ``worker`` over ``items(shard)``, one item per site in shard order,
+    and becomes a partial dataset; a ``runlog`` journals, retries and
+    quarantines the shards like the crawls.  The partials merge into
+    the whole.
     """
 
     def part(shard: CrawlShard, outcomes: list[Outcome]) -> ClassifiedDataset:
@@ -237,7 +240,7 @@ def run_classification(
     return run_sharded_stage(
         f"classify-{name}", "classify", plan, worker, items, part,
         lambda parts: merge_classified_datasets(name, model, parts, asdb=asdb),
-        executor=executor or SerialExecutor(), cache=cache, runlog=runlog,
+        executor=SerialExecutor(), cache=cache, runlog=runlog,
     )
 
 
@@ -247,7 +250,6 @@ def classify_dataset(
     *,
     model: LifetimeModel,
     asdb: AsDatabase | None = None,
-    executor: Executor | None = None,
 ) -> ClassifiedDataset:
     """Classify every site of a corpus and aggregate."""
     return run_classification(
@@ -256,5 +258,5 @@ def classify_dataset(
         lambda shard: [
             (site, site_records[site], model.value) for site in shard.domains
         ],
-        asdb=asdb, executor=executor,
+        asdb=asdb,
     )

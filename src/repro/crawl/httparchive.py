@@ -88,7 +88,7 @@ def _crawl_one_site(
 
 
 def _sanitize_and_classify(item: tuple[str, HarFile, str]) -> Outcome:
-    """Worker-side §4.3 sanitisation + §4.1 classification of one HAR."""
+    """§4.3 sanitisation + §4.1 classification of one HAR."""
     site, har, model_value = item
     result = read_sessions(har)
     classification = classify_site(
@@ -131,7 +131,7 @@ class HarCorpus:
 
     def classify(
         self, *, model: LifetimeModel, asdb=None, name: str | None = None,
-        executor: Executor | None = None, cache: StudyCache | None = None,
+        cache: StudyCache | None = None,
         plan: list[CrawlShard] | None = None,
         runlog: "RunContext | None" = None,
     ) -> ClassifiedDataset:
@@ -149,7 +149,7 @@ class HarCorpus:
             lambda shard: [
                 (site, self.hars[site], model.value) for site in shard.domains
             ],
-            asdb=asdb, executor=executor, cache=cache, runlog=runlog,
+            asdb=asdb, cache=cache, runlog=runlog,
         )
 
 

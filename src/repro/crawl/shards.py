@@ -24,7 +24,8 @@ schedule its sites exactly where the monolithic crawl would have.
 That is what makes the N-shard fold byte-identical to the monolith.
 
 Both crawls and every dataset's classification run through one
-driver, :func:`run_sharded_stage`.
+driver, :func:`run_sharded_stage`; the crawls pass it the study's
+executor, classification a serial one.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ The contract of :meth:`Executor.map_sites` is deliberately narrow:
 * an empty item list yields an empty result list;
 * exceptions raised by ``fn`` propagate to the caller.
 
-Those four properties are what let the crawl and classification stages
-swap executors without changing a single byte of study output.
+Those four properties are what let the crawl stages swap executors
+without changing a single byte of study output.
 """
 
 from __future__ import annotations

@@ -17,12 +17,19 @@ re-entrant and thread-safe: a lock-guarded depth counter makes the
 outermost entry record :func:`gc.isenabled` and disable the collector,
 and the outermost exit re-enable it only if it was enabled before —
 also when the body raises.  A forked child (a process-pool worker
-started mid-study) gets a fresh counter and its collector back, so
-workers run exactly as they would unpaused.
+started mid-study) gets a fresh counter and its collector back.
 
-It is deliberately neither :func:`gc.freeze` (frozen cycles are never
-collected) nor :func:`gc.set_threshold` (a global tuning knob that
-still rescans).  Explicit :func:`gc.collect` calls still run.
+A child forked inside a pause first calls :func:`gc.freeze` on the heap
+it inherited, so the worker's own collections scan only what the
+worker allocates instead of rescanning the parent's world each full
+pass.  Freezing that heap is safe: it is the parent's acyclic pipeline
+state, which the worker only reads, and any cycle in it is the
+parent's garbage, which the parent's collector still frees; the
+worker's copy ends with the worker.  Cycles the worker makes itself
+are still collected.  The pause is not a freeze in the parent, where
+frozen cycles would never be collected for the life of the process,
+nor :func:`gc.set_threshold` (a global tuning knob that still
+rescans).  Explicit :func:`gc.collect` calls still run.
 """
 
 from __future__ import annotations
@@ -72,8 +79,10 @@ def collector_paused() -> Iterator[None]:
 def _reset_in_child() -> None:
     global _state
     inherited, _state = _state, _PauseState()
-    if inherited.depth and inherited.was_enabled:
-        gc.enable()
+    if inherited.depth:
+        gc.freeze()
+        if inherited.was_enabled:
+            gc.enable()
 
 
 os.register_at_fork(after_in_child=_reset_in_child)

@@ -19,7 +19,35 @@ from repro.browser.browser import BrowserConfig, ChromiumBrowser
 from repro.util.clock import SimClock
 from repro.web.ecosystem import Ecosystem, EcosystemConfig
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+TESTS_DIR = Path(__file__).resolve().parent
+GOLDEN_DIR = TESTS_DIR / "golden"
+
+
+def duplicate_test_basenames(root: Path) -> dict[str, list[Path]]:
+    """Every ``test_*.py`` basename found more than once under ``root``,
+    with its paths relative to ``root``."""
+    found: dict[str, list[Path]] = {}
+    for path in sorted(root.rglob("test_*.py")):
+        found.setdefault(path.name, []).append(path.relative_to(root))
+    return {name: paths for name, paths in found.items() if len(paths) > 1}
+
+
+def pytest_sessionstart(session) -> None:
+    """Refuse to start when two test files under ``tests/`` share a
+    basename.
+
+    ``tests/`` is not a package, so pytest imports every test file as a
+    top-level module named after its basename; a second file of the same
+    name aborts the whole collection with ``import file mismatch``.
+    """
+    duplicates = duplicate_test_basenames(TESTS_DIR)
+    if duplicates:
+        raise pytest.UsageError(
+            "test file basenames must be unique under tests/: " + "; ".join(
+                f"{name} in " + ", ".join(str(path) for path in paths)
+                for name, paths in duplicates.items()
+            )
+        )
 
 
 @pytest.fixture(scope="session")

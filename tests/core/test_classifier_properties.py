@@ -132,42 +132,57 @@ class TestClassifierEdgeCases:
         assert dataset.report.total_sites == 0
         assert dataset.classifications == {}
 
-    @given(st.lists(_record_spec, min_size=0, max_size=8))
+    @given(
+        st.lists(
+            st.tuples(_record_spec, st.integers(min_value=0, max_value=3)),
+            min_size=0, max_size=8,
+        )
+    )
     @settings(max_examples=40, deadline=None)
-    def test_dataset_fold_is_executor_invariant(self, specs):
-        """classify_dataset must not depend on batching: serial, one-
-        site chunks and a chunk larger than the corpus all agree."""
-        from repro.crawl.classify import classify_dataset
-        from repro.runtime import SerialExecutor, ThreadExecutor
+    def test_dataset_fold_is_shard_partition_invariant(self, labelled):
+        """Any partition of the sites into classify shards folds to the
+        same dataset as one shard over every site."""
+        from repro.crawl.classify import (
+            classify_dataset,
+            classify_item,
+            run_classification,
+        )
+        from repro.crawl.shards import CrawlShard
 
         site_records = {
             f"site{index}": _build_records([spec])
-            for index, spec in enumerate(specs)
+            for index, (spec, _) in enumerate(labelled)
+        }
+        shard_of = {
+            f"site{index}": shard for index, (_, shard) in enumerate(labelled)
         }
         baseline = classify_dataset("d", site_records,
-                                    model=LifetimeModel.ENDLESS,
-                                    executor=SerialExecutor())
+                                    model=LifetimeModel.ENDLESS)
+        plan = [
+            CrawlShard(index=shard, domains=tuple(
+                site for site in site_records if shard_of[site] == shard
+            ))
+            for shard in sorted(set(shard_of.values()))
+        ]
+        sharded = run_classification(
+            "d", LifetimeModel.ENDLESS, plan, classify_item,
+            lambda shard: [
+                (site, site_records[site], LifetimeModel.ENDLESS.value)
+                for site in shard.domains
+            ],
+        )
 
         def summary(dataset):
             return (
                 sorted(dataset.classifications),
                 dataset.report.total_sites,
+                dataset.report.h2_connections,
                 dataset.report.redundant_connections,
                 {site: c.redundant_count
                  for site, c in dataset.classifications.items()},
             )
 
-        with ThreadExecutor(2, chunk_size=1) as tiny_chunks:
-            chunked = classify_dataset("d", site_records,
-                                       model=LifetimeModel.ENDLESS,
-                                       executor=tiny_chunks)
-        assert summary(chunked) == summary(baseline)
-
-        with ThreadExecutor(2, chunk_size=10_000) as one_chunk:
-            oversized = classify_dataset("d", site_records,
-                                         model=LifetimeModel.ENDLESS,
-                                         executor=one_chunk)
-        assert summary(oversized) == summary(baseline)
+        assert summary(sharded) == summary(baseline)
 
     @given(st.lists(_record_spec, min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)

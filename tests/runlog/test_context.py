@@ -19,8 +19,8 @@ import pytest
 from repro.analysis.digest import study_digest
 from repro.analysis.report import generate_report
 from repro.analysis.study import Study, StudyConfig
+from repro.crawl import httparchive
 from repro.runlog import WorkerCrashError, load_records, run_id
-from repro.runtime import SerialExecutor
 from repro.store import StudyCache
 
 GOLDEN_DIGEST = (
@@ -61,35 +61,37 @@ def _events_by_stage_kind(
     )
 
 
-class _ClassifyWorkerLoss(SerialExecutor):
-    """Loses its worker (``BrokenExecutor``) while classifying.
+class _ClassifyWorkerLoss:
+    """Loses its worker (``BrokenExecutor``) while classifying a HAR.
 
-    ``persistent=False`` fails only the first classify map of the run,
-    which a retry outlives.  ``persistent=True`` fails every classify
-    map that touches one site under the immediate lifetime model (the
-    first such site seen), so that dataset's shard exhausts its
-    attempts.  Crawl maps always run normally.
+    Wraps the HAR classification worker, which runs in the study
+    process.  ``persistent=False`` fails only the first site classified
+    in the run, which a retry outlives.  ``persistent=True`` fails every
+    attempt at one site under the immediate lifetime model (the first
+    such site seen), so that dataset's shard exhausts its attempts.
+    Crawls always run normally.
     """
 
-    def __init__(self, *, persistent: bool) -> None:
+    def __init__(self, monkeypatch, *, persistent: bool) -> None:
         self.persistent = persistent
         self.failures = 0
         self.target: str | None = None
+        self.worker = httparchive._sanitize_and_classify
+        monkeypatch.setattr(httparchive, "_sanitize_and_classify", self)
 
-    def map_sites(self, fn, items, *, chunk_size=None):
-        items = list(items)
-        if "classify" in fn.__name__ and self._strikes(items):
+    def __call__(self, item):
+        if self._strikes(item):
             self.failures += 1
             raise BrokenExecutor("worker lost while classifying")
-        return super().map_sites(fn, items, chunk_size=chunk_size)
+        return self.worker(item)
 
-    def _strikes(self, items: list) -> bool:
+    def _strikes(self, item) -> bool:
         if not self.persistent:
             return self.failures == 0
-        immediate = [site for site, _, model in items if model == "immediate"]
-        if self.target is None and immediate:
-            self.target = immediate[0]
-        return self.target in immediate
+        site, _, model = item
+        if self.target is None and model == "immediate":
+            self.target = site
+        return site == self.target
 
 
 @pytest.mark.slow
@@ -147,14 +149,16 @@ class TestWorkerCrashRecovery:
         assert "chunk-failed" in events  # crashes really happened
         assert "shard-quarantined" not in events
 
-    def test_classify_worker_loss_is_retried_to_golden(self, tmp_path):
+    def test_classify_worker_loss_is_retried_to_golden(
+        self, tmp_path, monkeypatch
+    ):
         """A worker lost mid-classification is retried like a crawl
         worker: the run completes byte-identical to the golden."""
         config = _config()
         cache = StudyCache(tmp_path)
-        executor = _ClassifyWorkerLoss(persistent=False)
-        study = Study.run(config, cache=cache, executor=executor)
-        assert executor.failures == 1
+        worker = _ClassifyWorkerLoss(monkeypatch, persistent=False)
+        study = Study.run(config, cache=cache)
+        assert worker.failures == 1
         assert study_digest(study) == GOLDEN_DIGEST
         assert study.coverage.complete
         failed = [
@@ -166,17 +170,17 @@ class TestWorkerCrashRecovery:
         assert "shard-quarantined" not in _journal_events(cache, config)
 
     def test_persistent_classify_worker_loss_quarantines_the_shard(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         config = _config()
         cache = StudyCache(tmp_path)
-        executor = _ClassifyWorkerLoss(persistent=True)
-        study = Study.run(config, cache=cache, executor=executor)
+        worker = _ClassifyWorkerLoss(monkeypatch, persistent=True)
+        study = Study.run(config, cache=cache)
         coverage = study.coverage
         assert not coverage.complete
         assert coverage.shards_quarantined == 1
-        assert executor.target in coverage.excluded_domains
-        assert executor.target not in (
+        assert worker.target in coverage.excluded_domains
+        assert worker.target not in (
             study.datasets["har-immediate"].classifications
         )
         assert study_digest(study) != GOLDEN_DIGEST

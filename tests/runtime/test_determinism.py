@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import replace
+
 from repro.analysis.digest import dataset_digest, study_digest
 from repro.analysis.study import Study, StudyConfig
-from repro.runtime import ProcessExecutor, ThreadExecutor
+from repro.crawl.alexa import _measure_one_site
+from repro.crawl.httparchive import _crawl_one_site
+from repro.runtime import ProcessExecutor, SerialExecutor, ThreadExecutor
 
 pytestmark = pytest.mark.slow
 
@@ -23,6 +27,27 @@ _CONFIG = StudyConfig(seed=7, n_sites=60, dns_study_days=0.25)
 @pytest.fixture(scope="module")
 def serial_study() -> Study:
     return Study.run(_CONFIG)
+
+
+class _RecordingExecutor(SerialExecutor):
+    """A serial executor that records every function it is handed."""
+
+    def __init__(self) -> None:
+        self.functions: set = set()
+
+    def map_sites(self, fn, items, *, chunk_size=None):
+        self.functions.add(fn)
+        return super().map_sites(fn, items, chunk_size=chunk_size)
+
+
+class TestOnlyCrawlsReachTheExecutor:
+    def test_sharded_study_sends_only_site_crawls(self, serial_study):
+        """Classification runs in the study process: a sharded study
+        hands its executor the two crawl workers and nothing else."""
+        executor = _RecordingExecutor()
+        study = Study.run(replace(_CONFIG, shards=2), executor=executor)
+        assert executor.functions == {_crawl_one_site, _measure_one_site}
+        assert study_digest(study) == study_digest(serial_study)
 
 
 class TestStudyDigest:

@@ -206,6 +206,24 @@ class TestCollectorPaused:
         assert os.waitstatus_to_exitcode(status) == 0
         assert gc.isenabled()
 
+    @staticmethod
+    def _child_freeze_count() -> int:
+        """``gc.get_freeze_count()`` in a child forked right now."""
+        pid = os.fork()
+        if pid == 0:
+            os._exit(min(gc.get_freeze_count(), 1))
+        _, status = os.waitpid(pid, 0)
+        return os.waitstatus_to_exitcode(status)
+
+    def test_fork_inside_a_pause_freezes_the_inherited_heap(self):
+        with collector_paused():
+            assert self._child_freeze_count() > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_fork_outside_a_pause_freezes_nothing(self):
+        assert gc.get_freeze_count() == 0
+        assert self._child_freeze_count() == 0
+
 
 class TestStageTimingsCountPasses:
     def test_study_stages_run_without_collector_passes(self):
