@@ -30,8 +30,7 @@ def main() -> None:
     print(result.render())
 
     alexa_series = [
-        snapshot.datasets["alexa"].redundant_connections
-        for snapshot in result.snapshots
+        cell.datasets["alexa"].redundant_connections for cell in result.cells
     ]
     print()
     print(

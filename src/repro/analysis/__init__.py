@@ -9,12 +9,7 @@ from repro.analysis.digest import dataset_digest, study_digest
 from repro.analysis.figures import Figure2Result, Figure3Result, figure2, figure3
 from repro.analysis.h3 import H3Result, h3_report
 from repro.analysis.headline import HeadlineStats, headline
-from repro.analysis.longitudinal import (
-    EpochSnapshot,
-    LongitudinalResult,
-    longitudinal_report,
-    snapshot_study,
-)
+from repro.analysis.longitudinal import LongitudinalResult, longitudinal_report
 from repro.analysis.resilience import ResilienceResult, resilience_report
 from repro.analysis.robustness import robustness_report
 from repro.analysis.study import DATASET_LABELS, Study, StudyConfig
@@ -49,10 +44,8 @@ __all__ = [
     "h3_report",
     "HeadlineStats",
     "headline",
-    "EpochSnapshot",
     "LongitudinalResult",
     "longitudinal_report",
-    "snapshot_study",
     "ResilienceResult",
     "resilience_report",
     "robustness_report",

@@ -25,20 +25,15 @@ oranges inputs instead of rendering misleading deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from repro.analysis.baseline import check_baseline_pair, coverage_caveats
 from repro.analysis.study import Study
 from repro.core.causes import Cause
 from repro.perf.whatif import WhatIfResult, whatif_site
-from repro.util.formatting import align_table
+from repro.util.formatting import align_table, pp_delta
 
 __all__ = ["H3Result", "h3_report"]
-
-
-def _pp(delta: float) -> str:
-    """A signed percentage-point delta cell (never renders "-0.0")."""
-    value = round(delta * 100, 1) + 0.0
-    return f"{value:+.1f} pp"
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ class H3Result:
                 str(h3.redundant_connections),
                 f"{base_share:.1%}",
                 f"{h3_share:.1%}",
-                _pp(h3_share - base_share),
+                pp_delta(h3_share - base_share),
             ])
         return rows
 
@@ -190,18 +185,9 @@ class H3Result:
                         "Total saved", "Rel. saving"],
             ),
         ]
-        # Degraded coverage (quarantined shards) would silently bias
-        # every delta above, so a partial run is called out explicitly.
-        for label, study in (
-            ("baseline", self.baseline), ("h3", self.h3)
-        ):
-            coverage = study.coverage
-            if coverage is not None and not coverage.complete:
-                parts += [
-                    "",
-                    f"Coverage caveat: {label} run is "
-                    f"{coverage.describe()}",
-                ]
+        parts += coverage_caveats(
+            [("baseline", self.baseline), ("h3", self.h3)]
+        )
         return "\n".join(parts)
 
 
@@ -212,16 +198,7 @@ def h3_report(baseline: Study, h3: Study) -> H3Result:
     ``h3_profile="none"``; anything else would attribute ordinary
     configuration drift to the rollout.
     """
-    if baseline.config.h3_profile != "none":
-        raise ValueError(
-            f"baseline study runs h3 profile "
-            f"{baseline.config.h3_profile!r}, expected 'none'"
-        )
-    if replace(baseline.config, h3_profile="none") != replace(
-        h3.config, h3_profile="none"
-    ):
-        raise ValueError(
-            "baseline and h3 studies differ beyond h3_profile; "
-            "their deltas would not be attributable to the rollout"
-        )
+    check_baseline_pair(
+        baseline, h3, "h3_profile", label="h3", cause="rollout"
+    )
     return H3Result(baseline=baseline, h3=h3)

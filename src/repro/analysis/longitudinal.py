@@ -25,70 +25,16 @@ the deltas are attributable to ecosystem churn alone (the runner,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.analysis.digest import study_digest
-from repro.analysis.study import Study, StudyConfig
+from repro.analysis.study import StudyConfig
 from repro.core.causes import Cause
-from repro.util.formatting import align_table
+from repro.util.formatting import align_table, pp_delta
 
-__all__ = [
-    "DatasetDrift",
-    "EpochSnapshot",
-    "LongitudinalResult",
-    "half_life",
-    "longitudinal_report",
-    "snapshot_study",
-]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sweep.runner import CellResult
 
-
-@dataclass(frozen=True)
-class DatasetDrift:
-    """One dataset's reuse numbers at one epoch, detached from the study."""
-
-    h2_connections: int
-    redundant_connections: int
-    cause_connections: dict[str, int]
-
-    @property
-    def redundant_share(self) -> float:
-        if not self.h2_connections:
-            return 0.0
-        return self.redundant_connections / self.h2_connections
-
-
-@dataclass(frozen=True)
-class EpochSnapshot:
-    """Everything the longitudinal report keeps from one epoch's study."""
-
-    epoch: int
-    digest: str
-    datasets: dict[str, DatasetDrift]
-    #: Mutations the engine applied in *this* epoch (empty at epoch 0).
-    churn: tuple[tuple[str, int], ...]
-
-
-def snapshot_study(epoch: int, study: Study) -> EpochSnapshot:
-    """Reduce one epoch's full study to its longitudinal snapshot."""
-    churn: tuple[tuple[str, int], ...] = ()
-    for ledger_epoch, counts in study.ecosystem.evolution_ledger:
-        if ledger_epoch == epoch:
-            churn = counts
-    return EpochSnapshot(
-        epoch=epoch,
-        digest=study_digest(study),
-        datasets={
-            name: DatasetDrift(
-                h2_connections=dataset.report.h2_connections,
-                redundant_connections=dataset.report.redundant_connections,
-                cause_connections={
-                    cause.value: dataset.report.by_cause[cause].connections
-                    for cause in Cause
-                },
-            )
-            for name, dataset in study.datasets.items()
-        },
-        churn=churn,
-    )
+__all__ = ["LongitudinalResult", "half_life", "longitudinal_report"]
 
 
 def half_life(values: list[float]) -> float | None:
@@ -117,39 +63,43 @@ class LongitudinalResult:
 
     policy: str
     config: StudyConfig
-    snapshots: tuple[EpochSnapshot, ...]
+    #: One sweep cell per epoch, epoch-0 first.
+    cells: tuple["CellResult", ...]
 
     @property
     def epochs(self) -> list[int]:
-        return [snapshot.epoch for snapshot in self.snapshots]
+        return [result.cell.config.epochs for result in self.cells]
 
     def digests(self) -> list[tuple[int, str]]:
-        return [(s.epoch, s.digest) for s in self.snapshots]
+        return list(zip(self.epochs, (cell.digest for cell in self.cells)))
 
     def shared_datasets(self) -> list[str]:
         """Dataset keys present at every epoch, epoch-0 order."""
-        if not self.snapshots:
+        if not self.cells:
             return []
-        names = list(self.snapshots[0].datasets)
-        for snapshot in self.snapshots[1:]:
-            names = [n for n in names if n in snapshot.datasets]
+        names = list(self.cells[0].datasets)
+        for cell in self.cells[1:]:
+            names = [n for n in names if n in cell.datasets]
         return names
 
     # ------------------------------------------------------------------
     def reuse_rows(self) -> list[list[str]]:
         rows = []
         for name in self.shared_datasets():
-            base = self.snapshots[0].datasets[name]
-            for snapshot in self.snapshots:
-                drift = snapshot.datasets[name]
-                delta = (drift.redundant_share - base.redundant_share) * 100
+            shares = []
+            for epoch, cell in zip(self.epochs, self.cells):
+                summary = cell.datasets[name]
+                shares.append(
+                    summary.redundant_connections / summary.h2_connections
+                    if summary.h2_connections else 0.0
+                )
                 rows.append([
                     name,
-                    str(snapshot.epoch),
-                    str(drift.h2_connections),
-                    str(drift.redundant_connections),
-                    f"{drift.redundant_share:.1%}",
-                    f"{round(delta, 1) + 0.0:+.1f} pp",
+                    str(epoch),
+                    str(summary.h2_connections),
+                    str(summary.redundant_connections),
+                    f"{shares[-1]:.1%}",
+                    pp_delta(shares[-1] - shares[0]),
                 ])
         return rows
 
@@ -159,8 +109,8 @@ class LongitudinalResult:
         for name in self.shared_datasets():
             for cause in (Cause.CERT, Cause.IP, Cause.CRED):
                 counts = [
-                    snapshot.datasets[name].cause_connections[cause.value]
-                    for snapshot in self.snapshots
+                    cell.datasets[name].cause_connections[cause.value]
+                    for cell in self.cells
                 ]
                 if not any(counts):
                     continue
@@ -169,11 +119,11 @@ class LongitudinalResult:
 
     def half_life_rows(self) -> list[list[str]]:
         rows = []
-        horizon = self.snapshots[-1].epoch if self.snapshots else 0
+        horizon = self.epochs[-1] if self.cells else 0
         for name in self.shared_datasets():
             series = [
-                float(snapshot.datasets[name].redundant_connections)
-                for snapshot in self.snapshots
+                float(cell.datasets[name].redundant_connections)
+                for cell in self.cells
             ]
             life = half_life(series)
             rows.append([
@@ -187,13 +137,13 @@ class LongitudinalResult:
 
     def churn_rows(self) -> list[list[str]]:
         rows = []
-        for snapshot in self.snapshots:
-            if snapshot.epoch == 0:
+        for epoch, cell in zip(self.epochs, self.cells):
+            if epoch == 0:
                 continue
             applied = ", ".join(
-                f"{kind}={count}" for kind, count in snapshot.churn
+                f"{kind}={count}" for kind, count in cell.churn
             )
-            rows.append([str(snapshot.epoch), applied or "(nothing fired)"])
+            rows.append([str(epoch), applied or "(nothing fired)"])
         return rows
 
     # ------------------------------------------------------------------
@@ -202,7 +152,7 @@ class LongitudinalResult:
         epoch_headers = [f"e{epoch}" for epoch in self.epochs]
         parts = [
             f"Longitudinal report — policy '{self.policy}' over "
-            f"{self.snapshots[-1].epoch} epochs "
+            f"{self.epochs[-1]} epochs "
             f"(seed={config.seed}, n_sites={config.n_sites})",
             "",
             "Reuse trajectory per dataset",
@@ -221,7 +171,7 @@ class LongitudinalResult:
             "Reuse-opportunity half-life (redundant connections)",
             align_table(
                 self.half_life_rows(),
-                header=["Dataset", "e0", f"e{self.snapshots[-1].epoch}",
+                header=["Dataset", "e0", f"e{self.epochs[-1]}",
                         "Half-life"],
             ),
             "",
@@ -236,16 +186,15 @@ class LongitudinalResult:
 
 
 def longitudinal_report(result: LongitudinalResult) -> LongitudinalResult:
-    """Identity hook mirroring ``resilience_report``'s shape.
+    """Return ``result`` after checking its cells cover epochs ``0..N``.
 
-    The runner already produces the result object; this exists so call
-    sites read uniformly (``print(longitudinal_report(result).render())``)
-    and future validation (e.g. epoch continuity checks) has one home.
+    Mirrors ``resilience_report``'s shape, so call sites read uniformly
+    (``print(longitudinal_report(result).render())``).
     """
-    epochs = [snapshot.epoch for snapshot in result.snapshots]
+    epochs = result.epochs
     if epochs != list(range(len(epochs))):
         raise ValueError(
-            f"longitudinal snapshots must cover epochs 0..N without gaps, "
+            f"longitudinal cells must cover epochs 0..N without gaps, "
             f"got {epochs}"
         )
     return result

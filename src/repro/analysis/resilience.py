@@ -22,19 +22,14 @@ oranges inputs instead of rendering misleading deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from repro.analysis.baseline import check_baseline_pair, coverage_caveats
 from repro.analysis.study import Study
 from repro.core.causes import Cause
-from repro.util.formatting import align_table
+from repro.util.formatting import align_table, pp_delta
 
 __all__ = ["ResilienceResult", "resilience_report"]
-
-
-def _pp(delta: float) -> str:
-    """A signed percentage-point delta cell (never renders "-0.0")."""
-    value = round(delta * 100, 1) + 0.0
-    return f"{value:+.1f} pp"
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class ResilienceResult:
                 str(fault.redundant_connections),
                 f"{base_share:.1%}",
                 f"{fault_share:.1%}",
-                _pp(fault_share - base_share),
+                pp_delta(fault_share - base_share),
             ])
         return rows
 
@@ -166,18 +161,9 @@ class ResilienceResult:
                 header=["Metric", "Baseline", "Faulted"],
             ),
         ]
-        # Degraded coverage (quarantined shards) would silently bias
-        # every delta above, so a partial run is called out explicitly.
-        for label, study in (
-            ("baseline", self.baseline), ("faulted", self.faulted)
-        ):
-            coverage = study.coverage
-            if coverage is not None and not coverage.complete:
-                parts += [
-                    "",
-                    f"Coverage caveat: {label} run is "
-                    f"{coverage.describe()}",
-                ]
+        parts += coverage_caveats(
+            [("baseline", self.baseline), ("faulted", self.faulted)]
+        )
         return "\n".join(parts)
 
 
@@ -188,16 +174,7 @@ def resilience_report(baseline: Study, faulted: Study) -> ResilienceResult:
     ``fault_profile="none"``; anything else would attribute ordinary
     configuration drift to the fault engine.
     """
-    if baseline.config.fault_profile != "none":
-        raise ValueError(
-            f"baseline study runs fault profile "
-            f"{baseline.config.fault_profile!r}, expected 'none'"
-        )
-    if replace(baseline.config, fault_profile="none") != replace(
-        faulted.config, fault_profile="none"
-    ):
-        raise ValueError(
-            "baseline and faulted studies differ beyond fault_profile; "
-            "their deltas would not be attributable to the faults"
-        )
+    check_baseline_pair(
+        baseline, faulted, "fault_profile", label="faulted", cause="faults"
+    )
     return ResilienceResult(baseline=baseline, faulted=faulted)

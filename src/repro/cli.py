@@ -118,53 +118,54 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cache_from_args(args):
-    if getattr(args, "cache_dir", None) is None:
-        return None
+class _InputError(Exception):
+    """Bad command-line input: :func:`main` prints it and exits 2."""
+
+
+def _setup(args, **overrides):
+    """The study flags as a validated config, its executor and the cache.
+
+    ``overrides`` replace single :class:`StudyConfig` fields (sweep's
+    first seed, evolve's policy).  The executor carries
+    ``--task-timeout``; the caller closes it.
+    """
+    from repro.analysis.study import StudyConfig
+    from repro.runtime import make_executor
     from repro.store import StudyCache
 
-    return StudyCache(args.cache_dir)
+    if args.resume and args.cache_dir is None:
+        raise _InputError("--resume requires --cache-dir (the journals live "
+                          "under the cache)")
+    config = StudyConfig(**{
+        "seed": args.seed, "n_sites": args.sites, "executor": args.executor,
+        "parallelism": args.jobs, "fault_profile": args.fault_profile,
+        "epochs": args.epochs, "evolution_policy": args.evolution_policy,
+        "h3_profile": args.h3_profile, "shards": args.shards, **overrides,
+    })
+    try:
+        config.validate()
+        executor = make_executor(config.executor, config.parallelism,
+                                 task_timeout=args.task_timeout)
+    except ValueError as error:
+        raise _InputError(str(error)) from None
+    cache = None if args.cache_dir is None else StudyCache(args.cache_dir)
+    return config, executor, cache
 
 
 def _study_from_args(args):
     """Run the full study as configured by the common CLI flags."""
-    from repro.analysis.study import Study, StudyConfig
-    from repro.runtime import StageTimings, make_executor, null_timings
+    from repro.analysis.study import Study
+    from repro.runtime import StageTimings, null_timings
 
+    config, executor, cache = _setup(args)
     timings = (
         StageTimings(memory=True) if getattr(args, "profile", False)
         else null_timings()
     )
-    config = StudyConfig(
-        seed=args.seed,
-        n_sites=args.sites,
-        executor=args.executor,
-        parallelism=args.jobs,
-        fault_profile=getattr(args, "fault_profile", "none"),
-        epochs=getattr(args, "epochs", 0),
-        evolution_policy=getattr(args, "evolution_policy", "none"),
-        h3_profile=getattr(args, "h3_profile", "none"),
-        shards=getattr(args, "shards", 1),
-    )
-    cache = _cache_from_args(args)
-    resume = getattr(args, "resume", False)
-    if resume and cache is None:
-        print("error: --resume requires --cache-dir (the journal lives "
-              "under the cache)", file=sys.stderr)
-        raise SystemExit(2)
-    try:
-        config.validate()
-        executor = make_executor(
-            config.executor, config.parallelism,
-            task_timeout=getattr(args, "task_timeout", None),
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        raise SystemExit(2)
     with executor:
         study = Study.run(
             config, executor=executor, timings=timings, cache=cache,
-            resume=resume, strict=getattr(args, "strict", False),
+            resume=args.resume, strict=args.strict,
         )
     if study.coverage is not None and not study.coverage.complete:
         print(f"warning: run is {study.coverage.describe()}; results "
@@ -417,7 +418,6 @@ def _cmd_study(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.analysis.robustness import robustness_report
-    from repro.analysis.study import StudyConfig
     from repro.sweep import SweepSpec, run_sweep
 
     try:
@@ -425,36 +425,20 @@ def _cmd_sweep(args) -> int:
             int(part) for part in (args.seeds or str(args.seed)).split(",")
         )
     except ValueError:
-        print(f"error: bad --seeds {args.seeds!r}", file=sys.stderr)
-        return 2
-    base = StudyConfig(
-        seed=seeds[0],
-        n_sites=args.sites,
-        executor=args.executor,
-        parallelism=args.jobs,
-        fault_profile=args.fault_profile,
-        epochs=args.epochs,
-        evolution_policy=args.evolution_policy,
-        h3_profile=args.h3_profile,
-        shards=args.shards,
-    )
-    try:
-        spec = SweepSpec(
-            base=base, seeds=seeds, axes=SweepSpec.parse_axes(args.grid)
+        raise _InputError(f"bad --seeds {args.seeds!r}") from None
+    base, executor, cache = _setup(args, seed=seeds[0])
+    with executor:
+        try:
+            spec = SweepSpec(
+                base=base, seeds=seeds, axes=SweepSpec.parse_axes(args.grid)
+            )
+            spec.cells()  # expand eagerly so bad axis *values* exit cleanly
+        except ValueError as error:
+            raise _InputError(str(error)) from None
+        result = run_sweep(
+            spec, cache=cache, executor=executor, progress=print,
+            resume=args.resume, strict=args.strict,
         )
-        spec.cells()  # expand eagerly so bad axis *values* also exit cleanly
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    cache = _cache_from_args(args)
-    if args.resume and cache is None:
-        print("error: --resume requires --cache-dir (the journals live "
-              "under the cache)", file=sys.stderr)
-        return 2
-    result = run_sweep(
-        spec, cache=cache, progress=print,
-        resume=args.resume, strict=args.strict,
-    )
     print()
     print(robustness_report(result))
     if args.profile:
@@ -551,134 +535,64 @@ def _cmd_validate(args) -> int:
     return 0 if scorecard.all_passed else 1
 
 
-def _cmd_resilience(args) -> int:
+def _compare_with_baseline(args, axis: str, example: str, report) -> int:
+    """Run the config with ``axis`` reset to ``none``, then the config,
+    through one executor and cache, and print ``report(baseline, run)``."""
     from dataclasses import replace
 
-    from repro.analysis.resilience import resilience_report
-    from repro.analysis.study import Study, StudyConfig
+    from repro.analysis.study import Study
 
-    if args.fault_profile == "none":
-        print("error: resilience needs --fault-profile (e.g. flaky-dns, "
-              "broken-tls, h2-churn, slow-origin, chaos)", file=sys.stderr)
-        return 2
-    faulted_config = StudyConfig(
-        seed=args.seed,
-        n_sites=args.sites,
-        executor=args.executor,
-        parallelism=args.jobs,
-        fault_profile=args.fault_profile,
-        epochs=args.epochs,
-        evolution_policy=args.evolution_policy,
-        h3_profile=args.h3_profile,
-        shards=args.shards,
-    )
-    try:
-        faulted_config.validate()
-        executor = faulted_config.make_executor()
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    cache = _cache_from_args(args)
-    if args.resume and cache is None:
-        print("error: --resume requires --cache-dir (the journals live "
-              "under the cache)", file=sys.stderr)
-        return 2
+    if getattr(args, axis) == "none":
+        flag = "--" + axis.replace("_", "-")
+        raise _InputError(f"{args.command} needs {flag} (e.g. {example})")
+    config, executor, cache = _setup(args)
     with executor:
-        baseline = Study.run(
-            replace(faulted_config, fault_profile="none"),
-            executor=executor, cache=cache,
-            resume=args.resume, strict=args.strict,
-        )
-        faulted = Study.run(
-            faulted_config, executor=executor, cache=cache,
-            resume=args.resume, strict=args.strict,
-        )
-    print(resilience_report(baseline, faulted).render())
+        baseline, run = [
+            Study.run(
+                scenario, executor=executor, cache=cache,
+                resume=args.resume, strict=args.strict,
+            )
+            for scenario in (replace(config, **{axis: "none"}), config)
+        ]
+    print(report(baseline, run).render())
     return 0
+
+
+def _cmd_resilience(args) -> int:
+    from repro.analysis.resilience import resilience_report
+
+    return _compare_with_baseline(
+        args, "fault_profile",
+        "flaky-dns, broken-tls, h2-churn, slow-origin, chaos",
+        resilience_report,
+    )
 
 
 def _cmd_h3(args) -> int:
-    from dataclasses import replace
-
     from repro.analysis.h3 import h3_report
-    from repro.analysis.study import Study, StudyConfig
 
-    if args.h3_profile == "none":
-        print("error: h3 needs --h3-profile (e.g. cdn-first, broad, "
-              "adopt-0.25)", file=sys.stderr)
-        return 2
-    h3_config = StudyConfig(
-        seed=args.seed,
-        n_sites=args.sites,
-        executor=args.executor,
-        parallelism=args.jobs,
-        fault_profile=args.fault_profile,
-        epochs=args.epochs,
-        evolution_policy=args.evolution_policy,
-        h3_profile=args.h3_profile,
-        shards=args.shards,
+    return _compare_with_baseline(
+        args, "h3_profile", "cdn-first, broad, adopt-0.25", h3_report
     )
-    try:
-        h3_config.validate()
-        executor = h3_config.make_executor()
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    cache = _cache_from_args(args)
-    if args.resume and cache is None:
-        print("error: --resume requires --cache-dir (the journals live "
-              "under the cache)", file=sys.stderr)
-        return 2
-    with executor:
-        baseline = Study.run(
-            replace(h3_config, h3_profile="none"),
-            executor=executor, cache=cache,
-            resume=args.resume, strict=args.strict,
-        )
-        h3_study = Study.run(
-            h3_config, executor=executor, cache=cache,
-            resume=args.resume, strict=args.strict,
-        )
-    print(h3_report(baseline, h3_study).render())
-    return 0
 
 
 def _cmd_evolve(args) -> int:
-    from repro.analysis.study import StudyConfig
     from repro.evolve import run_longitudinal
 
     # --policy is the canonical spelling; fall back to the shared
     # --evolution-policy flag so both read naturally.
-    policy = args.policy or (
-        args.evolution_policy if args.evolution_policy != "none" else None
-    )
-    if policy is None or policy == "none":
-        print("error: evolve needs --policy (e.g. cert-rotation, dns-churn, "
-              "cdn-migration, shard-consolidation, mixed)", file=sys.stderr)
-        return 2
-    config = StudyConfig(
-        seed=args.seed,
-        n_sites=args.sites,
-        executor=args.executor,
-        parallelism=args.jobs,
-        fault_profile=args.fault_profile,
-        h3_profile=args.h3_profile,
-        shards=args.shards,
-    )
-    cache = _cache_from_args(args)
-    if args.resume and cache is None:
-        print("error: --resume requires --cache-dir (the journals live "
-              "under the cache)", file=sys.stderr)
-        return 2
-    try:
+    policy = args.policy or args.evolution_policy
+    if policy == "none":
+        raise _InputError("evolve needs --policy (e.g. cert-rotation, "
+                          "dns-churn, cdn-migration, shard-consolidation, "
+                          "mixed)")
+    config, executor, cache = _setup(args, evolution_policy=policy)
+    with executor:
         result = run_longitudinal(
-            config, policy=policy, epochs=args.epochs,
+            config, policy=policy, epochs=config.epochs, executor=executor,
             cache=cache, progress=print,
             resume=args.resume, strict=args.strict,
         )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     print()
     print(result.render())
     return 0
@@ -902,6 +816,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except _InputError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # Ctrl-C mid-run is an expected, recoverable event, not a
         # crash: executor pools and run journals close on their way

@@ -4,12 +4,13 @@
 epoch 0 is the pristine world (byte-identical to a study that never
 heard of evolution — the pinned clean golden proves it), and each
 subsequent epoch re-runs the *identical* study configuration against
-the world advanced one more churn step.  Every epoch's full study is
-immediately reduced to an :class:`~repro.analysis.longitudinal.EpochSnapshot`
-so a long horizon stays memory-bounded, exactly like sweep cells.
+the world advanced one more churn step.  It is a sweep over the
+``epochs`` axis: :func:`~repro.sweep.run_sweep` shares one executor
+and the cache across epochs and reduces every epoch's study to a
+:class:`~repro.sweep.runner.CellResult`, so a long horizon stays
+memory-bounded.
 
-One executor is shared across all epochs, and the content-addressed
-cache works per epoch: ``epochs`` and ``evolution_policy`` sit on
+``epochs`` and ``evolution_policy`` sit on
 :class:`~repro.web.ecosystem.EcosystemConfig`, which every crawl and
 classification stage key hashes, so warm re-runs of a longitudinal
 study load every epoch from disk.
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
-
-from repro.evolve.policy import POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.longitudinal import LongitudinalResult
@@ -46,7 +45,7 @@ def run_longitudinal(
 
     ``config``'s own ``epochs``/``evolution_policy`` fields are
     overridden — the scenario is exactly the epoch axis this function
-    sweeps.  Returns the snapshot sequence for
+    sweeps.  Returns the epoch sequence for
     :func:`~repro.analysis.longitudinal.longitudinal_report`.
 
     ``resume``/``strict`` thread through to each epoch's
@@ -56,51 +55,27 @@ def run_longitudinal(
     """
     # Imported here, not at module scope: the analysis layer imports
     # repro.evolve.policy for validation, so a module-level import back
-    # into repro.analysis would be circular.
+    # into repro.analysis (or the sweep layer built on it) would be
+    # circular.
     from repro.analysis.longitudinal import (
         LongitudinalResult,
         longitudinal_report,
-        snapshot_study,
     )
-    from repro.analysis.study import Study
+    from repro.sweep import SweepSpec, run_sweep
 
-    POLICIES.lookup(policy)  # fail fast on unknown names
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    base = replace(config, evolution_policy=policy, epochs=0)
-    base.validate()
-    owns_executor = executor is None
-    executor = executor if executor is not None else base.make_executor()
-    snapshots = []
-    try:
-        for epoch in range(epochs + 1):
-            before = cache.total_stats() if cache is not None else None
-            study = Study.run(
-                replace(base, epochs=epoch), executor=executor, cache=cache,
-                resume=resume, strict=strict,
-            )
-            snapshot = snapshot_study(epoch, study)
-            snapshots.append(snapshot)
-            if progress is not None:
-                line = (
-                    f"[epoch {epoch}/{epochs}] policy={policy}  "
-                    f"digest={snapshot.digest[:12]}"
-                )
-                if before is not None:
-                    # Per-shard cache keys make this the incremental-
-                    # recompute ledger: hits are shards (and classified
-                    # datasets) the evolution left untouched.
-                    after = cache.total_stats()
-                    line += (
-                        f"  cache: {after.hits - before.hits} reused / "
-                        f"{after.misses - before.misses} recomputed"
-                    )
-                progress(line)
-    finally:
-        if owns_executor:
-            executor.close()
+    # Rejects an unknown policy and a negative horizon before any work.
+    replace(config, evolution_policy=policy, epochs=epochs).validate()
+    spec = SweepSpec(
+        base=replace(config, evolution_policy=policy, epochs=0),
+        seeds=(config.seed,),
+        axes=(("epochs", tuple(range(epochs + 1))),),
+    )
+    result = run_sweep(
+        spec, cache=cache, executor=executor, progress=progress,
+        resume=resume, strict=strict,
+    )
     return longitudinal_report(
         LongitudinalResult(
-            policy=policy, config=base, snapshots=tuple(snapshots)
+            policy=policy, config=spec.base, cells=tuple(result.cells)
         )
     )

@@ -109,6 +109,8 @@ class Executor(ABC):
     """Maps a function over independent per-site work items."""
 
     name: str = "abstract"
+    #: No-progress watchdog window in seconds; only pool executors arm one.
+    task_timeout: float | None = None
 
     @abstractmethod
     def map_sites(

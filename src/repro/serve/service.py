@@ -83,16 +83,13 @@ class StudyService:
         executor: str = "thread",
         jobs: int | None = None,
         max_inflight: int = 4,
-        task_timeout: float | None = None,
     ) -> None:
         if max_inflight <= 0:
             raise ValueError(
                 f"max_inflight must be positive, got {max_inflight}"
             )
         self.cache = StudyCache(cache_dir)
-        self.executor = make_executor(
-            executor, jobs, task_timeout=task_timeout
-        )
+        self.executor = make_executor(executor, jobs)
         self.max_inflight = max_inflight
         self._admission = threading.BoundedSemaphore(max_inflight)
         # thread-safe: _inflight/_failures/_run_locks only mutate under

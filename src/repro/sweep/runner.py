@@ -21,7 +21,7 @@ from repro.analysis.headline import HeadlineStats, headline
 from repro.analysis.study import Study
 from repro.core.causes import Cause
 from repro.runlog import RunCoverage
-from repro.runtime import Executor, StageTimings
+from repro.runtime import Executor, StageTimings, make_executor
 from repro.store import StudyCache
 from repro.sweep.spec import SweepCell, SweepSpec
 
@@ -102,6 +102,9 @@ class CellResult:
     #: partial when the run layer quarantined shards (the robustness
     #: report flags such cells instead of treating them as complete).
     coverage: RunCoverage | None = None
+    #: The churn the evolution engine applied in the cell's own epoch
+    #: (``(kind, count)`` pairs; empty at epoch 0 and without a policy).
+    churn: tuple[tuple[str, int], ...] = ()
 
 
 @dataclass
@@ -166,6 +169,9 @@ def summarize_cell(
         },
         timings=timings,
         coverage=study.coverage,
+        churn=dict(study.ecosystem.evolution_ledger).get(
+            cell.config.epochs, ()
+        ),
     )
 
 
@@ -182,10 +188,12 @@ def run_sweep(
 
     One executor (the caller's, or one built from the base config) is
     shared across all cells; only when the grid sweeps the ``executor``
-    or ``parallelism`` fields does each cell build its own.  The cache,
-    when given, is shared too — cells with common stage configurations
-    (same crawl under different lifetime models, re-runs of a warm
-    sweep) skip the corresponding work entirely.
+    or ``parallelism`` fields does each cell build its own, with the
+    caller's watchdog window.  The cache, when given, is shared too —
+    cells with common stage configurations (same crawl under different
+    lifetime models, re-runs of a warm sweep, evolution epochs that
+    left shards untouched) skip the corresponding work entirely, and
+    each progress line reports the cell's reused / recomputed split.
 
     ``resume`` and ``strict`` thread through to every cell's
     :meth:`Study.run`: each cell journals under its own run id, so an
@@ -194,21 +202,24 @@ def run_sweep(
     """
     cells = spec.cells()
     axis_names = {name for name, _ in spec.axes}
-    per_cell_executors = (
-        executor is None and bool({"executor", "parallelism"} & axis_names)
-    )
+    per_cell_executors = bool({"executor", "parallelism"} & axis_names)
+    task_timeout = executor.task_timeout if executor is not None else None
     owns_shared = executor is None and not per_cell_executors
     shared = (
-        executor if executor is not None
-        else spec.base.make_executor() if not per_cell_executors
-        else None
+        None if per_cell_executors
+        else executor if executor is not None
+        else spec.base.make_executor()
     )
     result = SweepResult(spec=spec, cache=cache)
     try:
         for index, cell in enumerate(cells):
             timings = StageTimings()
+            before = cache.total_stats() if cache is not None else None
             if per_cell_executors:
-                with cell.config.make_executor() as cell_executor:
+                with make_executor(
+                    cell.config.executor, cell.config.parallelism,
+                    task_timeout=task_timeout,
+                ) as cell_executor:
                     study = Study.run(
                         cell.config, executor=cell_executor,
                         timings=timings, cache=cache,
@@ -222,17 +233,24 @@ def run_sweep(
             summary = summarize_cell(cell, study, timings)
             result.cells.append(summary)
             if progress is not None:
-                partial = (
-                    "  PARTIAL"
-                    if summary.coverage is not None
-                    and not summary.coverage.complete else ""
-                )
-                progress(
+                line = (
                     f"[{index + 1}/{len(cells)}] {cell.label()}  "
                     f"digest={summary.digest[:12]}  "
-                    f"{timings.total_seconds:.2f} s{partial}"
+                    f"{timings.total_seconds:.2f} s"
                 )
+                if before is not None:
+                    # Per-shard cache keys make this the incremental-
+                    # recompute ledger: hits are shards (and classified
+                    # datasets) the cell shares with earlier work.
+                    after = cache.total_stats()
+                    line += (
+                        f"  cache: {after.hits - before.hits} reused / "
+                        f"{after.misses - before.misses} recomputed"
+                    )
+                if summary.coverage is not None and not summary.coverage.complete:
+                    line += "  PARTIAL"
+                progress(line)
     finally:
-        if owns_shared and shared is not None:
+        if owns_shared:
             shared.close()
     return result

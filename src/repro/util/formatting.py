@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["si_count", "pct", "align_table"]
+__all__ = ["si_count", "pct", "pp_delta", "align_table"]
 
 #: Count units in ascending order; the paper never goes beyond "M".
 _UNITS: tuple[tuple[int, str], ...] = ((1, ""), (1_000, " k"), (1_000_000, " M"))
@@ -81,6 +81,24 @@ def pct(numerator: float, denominator: float) -> str:
     if denominator == 0:
         return "- %"
     return f"{_round_half_away_from_zero(100 * numerator / denominator)} %"
+
+
+def pp_delta(delta: float) -> str:
+    """A share difference as a signed percentage-point cell.
+
+    Rounds to one decimal and never renders ``-0.0``, so an unchanged
+    share reads ``+0.0 pp`` whichever side of zero it rounded from.
+
+    >>> pp_delta(0.1234)
+    '+12.3 pp'
+    >>> pp_delta(-0.35)
+    '-35.0 pp'
+    >>> pp_delta(-0.0)
+    '+0.0 pp'
+    >>> pp_delta(-0.0004)
+    '+0.0 pp'
+    """
+    return f"{round(delta * 100, 1) + 0.0:+.1f} pp"
 
 
 def align_table(rows: list[list[str]], header: list[str] | None = None) -> str:

@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.longitudinal import (
-    DatasetDrift,
-    EpochSnapshot,
     LongitudinalResult,
     half_life,
     longitudinal_report,
 )
 from repro.analysis.study import StudyConfig
+from repro.runtime import StageTimings
+from repro.sweep import SweepCell
+from repro.sweep.runner import CellResult, DatasetSummary
 
 
 class TestHalfLife:
@@ -36,16 +37,22 @@ class TestHalfLife:
         assert half_life([100.0, 50.0, 50.0]) == pytest.approx(1.0)
 
 
-def _snapshot(epoch: int, redundant: int, churn=()) -> EpochSnapshot:
-    drift = DatasetDrift(
+def _cell(epoch: int, redundant: int, churn=()) -> CellResult:
+    summary = DatasetSummary(
+        name="alexa",
+        h2_sites=100,
         h2_connections=200,
+        redundant_sites=50,
         redundant_connections=redundant,
+        redundant_site_share=0.5,
+        cause_sites={},
         cause_connections={"CERT": redundant // 2, "IP": redundant // 2,
                            "CRED": 0},
     )
-    return EpochSnapshot(
-        epoch=epoch, digest=f"d{epoch}", datasets={"alexa": drift},
-        churn=tuple(churn),
+    return CellResult(
+        cell=SweepCell(StudyConfig(epochs=epoch), (("epochs", epoch),)),
+        digest=f"d{epoch}", headline=None, datasets={"alexa": summary},
+        timings=StageTimings(), churn=tuple(churn),
     )
 
 
@@ -54,10 +61,10 @@ class TestResultRendering:
         return LongitudinalResult(
             policy="shard-consolidation",
             config=StudyConfig(seed=7, n_sites=40),
-            snapshots=(
-                _snapshot(0, 120),
-                _snapshot(1, 80, (("shard-drop", 5),)),
-                _snapshot(2, 50, (("shard-drop", 3),)),
+            cells=(
+                _cell(0, 120),
+                _cell(1, 80, (("shard-drop", 5),)),
+                _cell(2, 50, (("shard-drop", 3),)),
             ),
         )
 
@@ -87,7 +94,7 @@ class TestResultRendering:
         broken = LongitudinalResult(
             policy="mixed",
             config=StudyConfig(),
-            snapshots=(_snapshot(0, 10), _snapshot(2, 5)),
+            cells=(_cell(0, 10), _cell(2, 5)),
         )
         with pytest.raises(ValueError, match="without gaps"):
             longitudinal_report(broken)
@@ -104,9 +111,9 @@ class TestRunner:
             epochs=1,
         )
         assert result.epochs == [0, 1]
-        assert result.snapshots[0].churn == ()
-        assert result.snapshots[1].churn  # consolidation fired
-        assert result.snapshots[0].digest != result.snapshots[1].digest
+        assert result.cells[0].churn == ()
+        assert result.cells[1].churn  # consolidation fired
+        assert result.cells[0].digest != result.cells[1].digest
         assert "shard-consolidation" in result.render()
 
     def test_runner_rejects_unknown_policy(self):

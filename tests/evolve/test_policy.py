@@ -16,13 +16,6 @@ class TestRegistry:
             "mixed", "none", "shard-consolidation",
         ]
 
-    def test_none_is_empty(self):
-        assert POLICIES.lookup("none").empty
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown evolution policy"):
-            POLICIES.lookup("cert-rotation-weekly")
-
     def test_mixed_covers_every_axis_at_half_rate(self):
         mixed = POLICIES.lookup("mixed")
         # Every kind of every pre-h3 single-axis policy appears in

@@ -17,11 +17,6 @@ class TestRegistry:
     def test_registered_names(self):
         assert H3_PROFILES.names() == ["broad", "cdn-first", "none"]
 
-    def test_none_is_empty(self):
-        assert H3_PROFILES.lookup("none").empty
-        assert not H3_PROFILES.lookup("cdn-first").empty
-        assert not H3_PROFILES.lookup("broad").empty
-
     def test_cdn_first_shape(self):
         assert _rate("cdn-first", H3Kind.PROVIDER_ADOPT) > (
             _rate("cdn-first", H3Kind.ORIGIN_ADOPT)
@@ -30,15 +25,6 @@ class TestRegistry:
     def test_broad_adopts_more_than_cdn_first(self):
         for kind in H3Kind:
             assert _rate("broad", kind) >= _rate("cdn-first", kind)
-
-    def test_unknown_profile_lists_names(self):
-        with pytest.raises(ValueError) as error:
-            H3_PROFILES.lookup("warp")
-        message = str(error.value)
-        assert "'warp'" in message
-        for name in H3_PROFILES.names():
-            assert name in message
-        assert "adopt-<fraction>" in message
 
     def test_lookup_returns_registry_object(self):
         assert H3_PROFILES.lookup("broad") is H3_PROFILES.scenarios["broad"]
