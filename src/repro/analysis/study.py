@@ -43,6 +43,7 @@ from repro.runtime import (
     make_executor,
     null_timings,
 )
+from repro.runtime.executor import parse_executor_spec
 from repro.runtime.gcpause import collector_paused
 from repro.store import StudyCache
 from repro.util.scenario import merge_counts
@@ -149,7 +150,7 @@ class StudyConfig:
         Everything a sweep axis can set is checked here, so grid cells
         fail fast (and CLI-cleanly) before any study work starts.
         """
-        make_executor(self.executor, self.parallelism)  # raises on bad specs
+        parse_executor_spec(self.executor, self.parallelism)
         for model in self.har_models:
             LifetimeModel(model)  # raises ValueError on unknown names
         if not self.har_models:

@@ -60,9 +60,6 @@ class PairTimeline:
     #: (slot time, number of resolvers whose answers overlapped).
     points: list[tuple[float, int]] = field(default_factory=list)
 
-    def overlap_slots(self) -> int:
-        return sum(1 for _, count in self.points if count > 0)
-
     def mean_overlap(self) -> float:
         """Average share of resolvers whose answers overlapped."""
         if not self.points or not self.resolver_count:

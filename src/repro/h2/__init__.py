@@ -1,4 +1,4 @@
-"""HTTP/2 substrate: frames, HPACK, streams, connections, settings."""
+"""HTTP/2 substrate: HPACK, streams, connections, settings."""
 
 from repro.h2.connection import (
     HTTP_MISDIRECTED_REQUEST,
@@ -6,24 +6,6 @@ from repro.h2.connection import (
     Http2Connection,
     RequestRecord,
     ServerEndpoint,
-)
-from repro.h2.frames import (
-    DataFrame,
-    Flags,
-    Frame,
-    FrameError,
-    FrameHeader,
-    FrameType,
-    GoawayFrame,
-    HeadersFrame,
-    OriginFrame,
-    PingFrame,
-    RstStreamFrame,
-    SettingsFrame,
-    UnknownFrame,
-    WindowUpdateFrame,
-    decode_frames,
-    encode_frame,
 )
 from repro.h2.errors import H2Error
 from repro.h2.hpack import STATIC_TABLE, HpackDecoder, HpackEncoder, HpackError
@@ -37,22 +19,6 @@ __all__ = [
     "Http2Connection",
     "RequestRecord",
     "ServerEndpoint",
-    "DataFrame",
-    "Flags",
-    "Frame",
-    "FrameError",
-    "FrameHeader",
-    "FrameType",
-    "GoawayFrame",
-    "HeadersFrame",
-    "OriginFrame",
-    "PingFrame",
-    "RstStreamFrame",
-    "SettingsFrame",
-    "UnknownFrame",
-    "WindowUpdateFrame",
-    "decode_frames",
-    "encode_frame",
     "STATIC_TABLE",
     "HpackDecoder",
     "HpackEncoder",

@@ -1,11 +1,10 @@
 """The HTTP/2 subsystem's typed error root.
 
-Every exception the frames/HPACK/stream/connection layer raises derives
-from :class:`H2Error`, so the browser's retry paths can catch the whole
+Every exception the HPACK/stream/connection layer raises derives from
+:class:`H2Error`, so the browser's retry paths can catch the whole
 subsystem with one clause and the ``repro lint`` typed-error rule can
-verify no raise site escapes the hierarchy.  Classes that historically
-derived from a builtin (``FrameError(ValueError)``,
-``HpackError(ValueError)``) keep that base too, so existing
+verify no raise site escapes the hierarchy.  ``HpackError`` historically
+derived from :class:`ValueError` and keeps that base too, so existing
 ``except ValueError`` callers are unaffected.
 """
 

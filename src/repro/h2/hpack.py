@@ -152,11 +152,6 @@ def decode_integer(data: bytes, offset: int, prefix_bits: int) -> tuple[int, int
             raise HpackError("integer overflow")
 
 
-def _encode_string(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return encode_integer(len(raw), 7) + raw
-
-
 def _append_integer(
     out: bytearray, value: int, prefix_bits: int, first_byte_flags: int = 0
 ) -> None:

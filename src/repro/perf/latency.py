@@ -39,7 +39,3 @@ class PathModel:
         slash24 = ip.rsplit(".", 1)[0]
         fraction = stable_hash("rtt", self.vantage, slash24) / float(2**64)
         return self.min_rtt_s + fraction * (self.max_rtt_s - self.min_rtt_s)
-
-    def bandwidth_delay_product(self, rtt_s: float) -> float:
-        """Bytes in flight at full utilisation of the access link."""
-        return self.bandwidth_bps * rtt_s / 8.0

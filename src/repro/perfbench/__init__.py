@@ -9,7 +9,7 @@ so every PR leaves a comparable performance record:
   per-stage wall clock, whole-run peak RSS, and the study digest that
   proves optimizations changed nothing.
 * :mod:`repro.perfbench.micro` — microbenchmarks of each hot component
-  (HPACK encode/decode, frame codec, hostname verification, the
+  (the perf estimator's HPACK encoding, hostname verification, the
   resolver TTL cache, pool coalescing, page loads, world generation).
 * :mod:`repro.perfbench.report` — the ``BENCH_pipeline.json`` /
   ``BENCH_hotpath.json`` writers, the append-only wall-clock history

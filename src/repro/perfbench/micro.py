@@ -88,60 +88,8 @@ def _bench_hpack_encode(repeat: int) -> MicroResult:
 
     iterations, seconds = _best_of(work, repeat)
     return MicroResult("hpack-encode", iterations, seconds,
-                       note="header blocks through one connection encoder")
-
-
-def _bench_hpack_decode(repeat: int) -> MicroResult:
-    from repro.h2.hpack import HpackDecoder, HpackEncoder
-
-    blocks = _header_blocks(400)
-    encoder = HpackEncoder()
-    encoded = [encoder.encode(block) for block in blocks]
-
-    def work() -> int:
-        decoder = HpackDecoder()
-        for fragment in encoded:
-            decoder.decode(fragment)
-        return len(encoded)
-
-    iterations, seconds = _best_of(work, repeat)
-    return MicroResult("hpack-decode", iterations, seconds,
-                       note="header block fragments through one decoder")
-
-
-def _bench_frame_codec(repeat: int) -> MicroResult:
-    from repro.h2.frames import (
-        DataFrame, GoawayFrame, HeadersFrame, OriginFrame, PingFrame,
-        SettingsFrame, WindowUpdateFrame, decode_frames, encode_frames,
-    )
-
-    rng = random.Random(11)
-    frames = []
-    for index in range(300):
-        stream_id = index * 2 + 1
-        frames.append(HeadersFrame(stream_id=stream_id, flags=0x4,
-                                   header_block=bytes(rng.randrange(256)
-                                                      for _ in range(24))))
-        frames.append(DataFrame(stream_id=stream_id, flags=0x1,
-                                data=b"x" * rng.randint(16, 512)))
-        if index % 7 == 0:
-            frames.append(SettingsFrame(pairs=((0x4, 65_535), (0x5, 16_384))))
-        if index % 11 == 0:
-            frames.append(WindowUpdateFrame(increment=rng.randint(1, 2**16)))
-        if index % 13 == 0:
-            frames.append(PingFrame(opaque=bytes(range(8))))
-        if index % 17 == 0:
-            frames.append(OriginFrame(origins=("https://a.com", "https://b.com")))
-    frames.append(GoawayFrame(last_stream_id=599, error_code=0))
-
-    def work() -> int:
-        wire = encode_frames(frames)
-        decoded = decode_frames(wire)
-        return len(decoded)
-
-    iterations, seconds = _best_of(work, repeat)
-    return MicroResult("frame-codec", iterations, seconds,
-                       note="frames encoded to wire bytes and decoded back")
+                       note="header blocks re-encoded as the perf "
+                            "estimator prices one connection")
 
 
 def _bench_hostname_verify(repeat: int) -> MicroResult:
@@ -289,8 +237,6 @@ def run_microbenchmarks(*, repeat: int = 3) -> list[MicroResult]:
     ecosystem = _shared_ecosystem()
     return [
         _bench_hpack_encode(repeat),
-        _bench_hpack_decode(repeat),
-        _bench_frame_codec(repeat),
         _bench_hostname_verify(repeat),
         _bench_resolver_cache(repeat),
         _bench_pool_coalescing(ecosystem, repeat),

@@ -39,7 +39,6 @@ __all__ = [
     "load_bench",
     "write_pipeline_bench",
     "write_hotpath_bench",
-    "write_custom_bench",
     "check_pipeline",
     "render_check_report",
 ]
@@ -144,26 +143,6 @@ def write_pipeline_bench(
         "history": history,
     }
     _dump(path, payload)
-    return payload
-
-
-def write_custom_bench(
-    kind: str, fields: dict, path: str | Path, *, label: str
-) -> dict:
-    """Write an arbitrary benchmark payload under the BENCH schema.
-
-    Used by the ``benchmarks/`` entry points so their results share the
-    schema/host envelope of the repo-root BENCH files.
-    """
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "kind": kind,
-        "label": label,
-        "recorded_unix": int(time.time()),
-        "host": host_metadata(),
-        **fields,
-    }
-    _dump(Path(path), payload)
     return payload
 
 

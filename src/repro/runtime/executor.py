@@ -26,7 +26,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -39,6 +39,7 @@ __all__ = [
     "ProcessExecutor",
     "chunk_items",
     "make_executor",
+    "parse_executor_spec",
     "shard_items",
 ]
 
@@ -164,10 +165,7 @@ class _PoolExecutor(Executor):
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(
-                f"task_timeout must be positive, got {task_timeout}"
-            )
+        _check_task_timeout(task_timeout)
         self.max_workers = max_workers if max_workers is not None \
             else default_workers()
         self.chunk_size = chunk_size
@@ -368,28 +366,21 @@ _EXECUTORS: dict[str, type[Executor]] = {
 }
 
 
-def executor_names() -> Iterator[str]:
-    """Names accepted by :func:`make_executor` (for CLI help)."""
-    return iter(_EXECUTORS)
+def _check_task_timeout(task_timeout: float | None) -> None:
+    if task_timeout is not None and task_timeout <= 0:
+        raise ValueError(f"task_timeout must be positive, got {task_timeout}")
 
 
-def make_executor(
-    spec: str | Executor | None = "serial",
-    workers: int | None = None,
-    *, chunk_size: int | None = None, task_timeout: float | None = None,
-) -> Executor:
-    """Build an executor from a spec string.
+def parse_executor_spec(
+    spec: str, workers: int | None = None
+) -> tuple[type[Executor], int | None]:
+    """The executor class and worker count a spec string names.
 
     Accepts ``"serial"``, ``"thread"``, ``"process"``, optionally with a
-    worker count suffix (``"thread:8"``).  An :class:`Executor` instance
-    passes through unchanged; ``None`` means serial.  ``task_timeout``
-    arms the pool executors' no-progress watchdog (serial runs ignore
-    it: inline work cannot be watched from the thread doing it).
+    worker count suffix (``"thread:8"``) that overrides ``workers``.
+    Raises :class:`ValueError` on a bad spec and constructs nothing, so
+    validating a config costs no pool.
     """
-    if spec is None:
-        return SerialExecutor()
-    if isinstance(spec, Executor):
-        return spec
     name, _, suffix = spec.partition(":")
     name = name.strip().lower()
     if name not in _EXECUTORS:
@@ -405,7 +396,28 @@ def make_executor(
             raise ValueError(f"worker count must be positive in {spec!r}")
     elif workers is not None and workers <= 0:
         raise ValueError(f"worker count must be positive, got {workers}")
-    cls = _EXECUTORS[name]
+    return _EXECUTORS[name], workers
+
+
+def make_executor(
+    spec: str | Executor | None = "serial",
+    workers: int | None = None,
+    *, chunk_size: int | None = None, task_timeout: float | None = None,
+) -> Executor:
+    """Build an executor from a spec string (see :func:`parse_executor_spec`).
+
+    An :class:`Executor` instance passes through unchanged; ``None``
+    means serial.  ``task_timeout`` arms the pool executors' no-progress
+    watchdog.  Serial runs ignore it (inline work cannot be watched from
+    the thread doing it), but a non-positive value is rejected for every
+    spec alike.
+    """
+    _check_task_timeout(task_timeout)
+    if spec is None:
+        return SerialExecutor()
+    if isinstance(spec, Executor):
+        return spec
+    cls, workers = parse_executor_spec(spec, workers)
     if cls is SerialExecutor:
         return SerialExecutor()
     return cls(max_workers=workers, chunk_size=chunk_size,

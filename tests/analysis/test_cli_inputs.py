@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.study import Study
 from repro.cli import main
+from repro.runtime.executor import _PoolExecutor
 
 #: The extra flags each command needs to get past its own checks.
 SCENARIO = {
@@ -94,10 +95,32 @@ def test_task_timeout_reaches_every_studys_executor(
     assert timeouts and set(timeouts) == {30.0}
 
 
-@pytest.mark.parametrize("command", TIMEOUT_COMMANDS)
-def test_non_positive_task_timeout_exits_2(capsys, command):
-    argv = _argv(command, "--executor", "thread", "--task-timeout", "-1")
+@pytest.mark.parametrize("command, executor", [
+    *((command, "thread") for command in TIMEOUT_COMMANDS),
+    # Serial runs ignore the watchdog but must not swallow a bad value.
+    *((command, "serial") for command in TIMEOUT_COMMANDS),
+], ids=[*TIMEOUT_COMMANDS, *(f"{command}-serial"
+                             for command in TIMEOUT_COMMANDS)])
+def test_non_positive_task_timeout_exits_2(capsys, command, executor):
+    argv = _argv(command, "--executor", executor, "--task-timeout", "-1")
     assert _exit_code(argv) == 2
     assert capsys.readouterr().err == (
         "error: task_timeout must be positive, got -1.0\n"
     )
+
+
+def test_validation_builds_no_executor(monkeypatch):
+    """Only the CLI's one executor is built: validating each sweep cell
+    parses its executor spec and constructs nothing."""
+    built = []
+    init = _PoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("task_timeout"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_PoolExecutor, "__init__", counting_init)
+    argv = _argv("sweep", "--seeds", "7,8,9", "--executor", "thread:2",
+                 "--task-timeout", "30")
+    assert _exit_code(argv) == 0
+    assert built == [30.0]

@@ -63,6 +63,7 @@ class TestMitigations:
         assert outcome.by_cause[Cause.IP].connections < (
             baseline.by_cause[Cause.IP].connections
         )
+        assert mitigation_comparison.reduction("coordinated-dns") > 0
 
     def test_merged_certificates_cut_cert(self, mitigation_comparison):
         baseline = mitigation_comparison.baseline.report

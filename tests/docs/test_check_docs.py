@@ -103,7 +103,7 @@ class TestHealthyFormsPass:
     def test_allowlisted_foreign_flags_pass(self, fake_repo, check_docs):
         path = _write(fake_repo, "README.md", """\
             ```console
-            $ pytest benchmarks/ --benchmark-only
+            $ pytest --doctest-modules src/repro
             ```
         """)
         assert check_docs.check_file(path, _FLAGS) == []

@@ -6,7 +6,7 @@ import pytest
 
 from repro.evolve.plan import EpochPlan
 from repro.evolve.policy import DNS_KINDS, POLICIES, SITE_KINDS, ChurnKind
-from repro.util.scenario import Scenario, Spec, merge_counts
+from repro.util.scenario import merge_counts
 
 
 class TestRegistry:
@@ -38,15 +38,6 @@ class TestRegistry:
     def test_every_kind_is_site_or_dns_scoped(self):
         assert SITE_KINDS | DNS_KINDS == set(ChurnKind)
         assert not SITE_KINDS & DNS_KINDS
-
-    def test_duplicate_kinds_rejected(self):
-        spec = Spec(ChurnKind.CERT_ROTATE, rate=0.1)
-        with pytest.raises(ValueError, match="duplicate kinds"):
-            Scenario("dup", "bad", (spec, spec))
-
-    def test_rate_bounds_enforced(self):
-        with pytest.raises(ValueError, match="dns-narrow rate"):
-            Spec(ChurnKind.DNS_NARROW, rate=1.5)
 
 
 class TestEpochPlan:

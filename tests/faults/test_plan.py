@@ -32,18 +32,6 @@ class TestRegistry:
             named |= FAULTS.lookup(name).kinds
         assert FAULTS.lookup("chaos").kinds == named
 
-    def test_duplicate_kinds_rejected(self):
-        with pytest.raises(ValueError, match="duplicate kinds"):
-            Scenario(
-                "dup", "test",
-                (Spec(FaultKind.H2_GOAWAY, 0.1),
-                 Spec(FaultKind.H2_GOAWAY, 0.2)),
-            )
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError, match="rate"):
-            Spec(FaultKind.H2_GOAWAY, rate=1.5)
-
 
 class TestCompile:
     def test_empty_profile_compiles_to_none(self):

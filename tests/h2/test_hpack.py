@@ -79,16 +79,27 @@ class TestHpackRoundtrip:
     def test_repeat_encoding_shrinks(self):
         """Dynamic-table hits make later blocks smaller (the HPACK win
         the paper says is lost when connections are redundant)."""
-        encoder = HpackEncoder()
-        headers = [
-            (":authority", "cdn.example.com"),
-            ("user-agent", "repro-browser/1.0"),
-            ("cookie", "session=abcdef0123456789"),
-        ]
-        first = encoder.encode(headers)
-        second = encoder.encode(headers)
-        assert len(second) < len(first)
-        assert len(second) <= len(headers)  # pure index references
+        for headers in (
+            [
+                (":authority", "cdn.example.com"),
+                ("user-agent", "repro-browser/1.0"),
+                ("cookie", "session=abcdef0123456789"),
+            ],
+            # A typical third-party analytics request.
+            [
+                (":method", "GET"), (":scheme", "https"),
+                (":authority", "www.google-analytics.com"),
+                (":path", "/analytics.js"),
+                ("user-agent", "repro-chromium/87.0"), ("accept", "*/*"),
+                ("accept-encoding", "gzip, deflate"),
+                ("cookie", "sid=0123456789abcdef"),
+            ],
+        ):
+            encoder = HpackEncoder()
+            first = encoder.encode(headers)
+            second = encoder.encode(headers)
+            assert len(first) > 5 * len(headers)  # the cold literals
+            assert len(second) <= len(headers)  # pure index references
 
     def test_two_cold_encoders_pay_twice(self):
         headers = [("x-custom-header", "some-value-1234")]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.h3 import H3_PROFILES, H3Kind, H3Plan, apply_h3_adoption
-from repro.util.scenario import Scenario, Spec
 from repro.web.ecosystem import Ecosystem, EcosystemConfig
 
 
@@ -44,21 +43,6 @@ class TestAdoptFractionProfiles:
     def test_out_of_range_or_malformed_rejected(self, name):
         with pytest.raises(ValueError):
             H3_PROFILES.lookup(name)
-
-
-class TestSpecsAndProfiles:
-    def test_fraction_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            Spec(H3Kind.ORIGIN_ADOPT, rate=1.01)
-        with pytest.raises(ValueError):
-            Spec(H3Kind.ORIGIN_ADOPT, rate=-0.01)
-
-    def test_duplicate_kinds_rejected(self):
-        with pytest.raises(ValueError):
-            Scenario("dup", "duplicate", (
-                Spec(H3Kind.ORIGIN_ADOPT, 0.1),
-                Spec(H3Kind.ORIGIN_ADOPT, 0.2),
-            ))
 
 
 class TestCompile:

@@ -68,6 +68,7 @@ class TestReaderRoundtrip:
         har = write_har(visit, noise=HarNoiseConfig.none())
         stats = read_sessions(har).stats
         http1 = sum(1 for c in visit.connections if c.protocol != "h2")
+        assert stats.total > 0
         assert stats.socket_id_zero == 0
         assert stats.missing_certificate == 0
         assert stats.dropped == stats.http1_or_h3

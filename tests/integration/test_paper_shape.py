@@ -117,8 +117,7 @@ class TestAttributionShape:
     def test_gts_heavy_hitter_le_long_tail(self, small_study):
         """§5.3.2: GTS occurs for few domains at high volume; LE for
         many domains.  Only meaningful with enough CERT mass, so the
-        check requires a minimum sample (the full claim is asserted at
-        larger scale in the benchmarks/EXPERIMENTS run)."""
+        check skips below a minimum sample."""
         attribution = small_study.dataset("har-endless").attribution
         gts = attribution.cert_issuers.get("Google Trust Services")
         le = attribution.cert_issuers.get("Let's Encrypt")

@@ -17,7 +17,7 @@ from repro.perfbench import (
     write_pipeline_bench,
 )
 from repro.perfbench.pipeline import PipelineRun
-from repro.perfbench.report import render_check_report, write_custom_bench
+from repro.perfbench.report import render_check_report
 from repro.runtime import StageTimings
 
 
@@ -95,13 +95,6 @@ class TestHotpathWriter:
         first = loaded["benchmarks"][0]
         assert first["name"] == "hpack-encode"
         assert first["ops_per_s"] == pytest.approx(2000.0)
-
-    def test_custom_bench_envelope(self, tmp_path):
-        path = tmp_path / "BENCH_custom.json"
-        write_custom_bench("runtime-executors", {"runs": []}, path, label="x")
-        loaded = load_bench(path)
-        assert loaded["kind"] == "runtime-executors"
-        assert loaded["runs"] == []
 
 
 class TestComparator:

@@ -9,6 +9,7 @@ checks (which kinds ``chaos`` covers, ``adopt-<fraction>`` parsing,
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,15 +96,18 @@ class TestRegistryContract:
         assert axis.registry.resolve(scenario) is scenario
 
     def test_duplicate_kinds_rejected(self, axis):
-        kind = next(iter(axis.kinds))
-        with pytest.raises(ValueError, match="duplicate kinds in scenario"):
-            Scenario("dup", "test", (Spec(kind, 0.1), Spec(kind, 0.2)))
+        for kind in axis.kinds:
+            with pytest.raises(ValueError,
+                               match="duplicate kinds in scenario 'dup'"):
+                Scenario("dup", "test", (Spec(kind, 0.1), Spec(kind, 0.2)))
 
     @pytest.mark.parametrize("rate", [-0.01, 1.01, 1.5])
     def test_out_of_range_rates_rejected(self, axis, rate):
-        kind = next(iter(axis.kinds))
-        with pytest.raises(ValueError, match=r"rate must be in \[0, 1\]"):
-            Spec(kind, rate=rate)
+        for kind in axis.kinds:
+            with pytest.raises(ValueError, match=re.escape(
+                f"{kind.value} rate must be in [0, 1], got {rate}"
+            )):
+                Spec(kind, rate=rate)
 
     def test_halved_halves_rate_and_keeps_param(self, axis):
         for name in axis.registry.names():

@@ -27,6 +27,7 @@ class TestGenerate:
         for site in small_ecosystem.websites[:30]:
             for resource in site.document.walk():
                 answer = resolver.resolve(resource.domain, now=0.0)
+                assert answer.ips, resource.domain
                 for ip in answer.ips:
                     assert ip in small_ecosystem.servers
 

@@ -5,7 +5,7 @@ Scans ``README.md`` and ``docs/*.md`` for three classes of rot:
 1. **relative Markdown links** (``[text](path)``) whose target file or
    directory no longer exists;
 2. **backtick path references** (`` `src/repro/...` ``, `` `tests/...`
-   ``, `` `docs/...` ``, `` `examples/...` ``, `` `benchmarks/...` ``)
+   ``, `` `docs/...` ``, `` `examples/...` ``, `` `tools/...` ``)
    pointing at files that no longer exist;
 3. **CLI flag references** (`` --flag `` inside backticks or console
    blocks) that no CLI parser registers any more.
@@ -32,15 +32,11 @@ _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 _BACKTICK = re.compile(r"`([^`\n]+)`")
 #: Path-looking backtick content: starts with a known tree root and
 #: names a concrete file or directory (no globs/placeholders).
-_PATH_ROOTS = ("src/", "tests/", "docs/", "examples/", "benchmarks/",
-               "tools/")
+_PATH_ROOTS = ("src/", "tests/", "docs/", "examples/", "tools/")
 _FLAG = re.compile(r"(--[a-z][a-z0-9-]+)\b")
 #: Flag-like strings that are not CLI flags of this repo.
 _FLAG_ALLOWLIST = frozenset((
     "--doctest-modules",  # pytest's own flag, quoted in the docs
-    "--benchmark-only",   # pytest-benchmark
-    "--bench-json",       # registered by benchmarks/conftest.py
-    "--json",             # benchmarks/bench_runtime.py
 ))
 
 
