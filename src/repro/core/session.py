@@ -16,7 +16,8 @@ recorded lifetimes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from repro.tls.verify import sans_cover
 
@@ -31,6 +32,46 @@ class LifetimeModel(enum.Enum):
     ACTUAL = "actual"
 
 
+def _field_tuple_state(cls):
+    """Pickle a frozen slotted dataclass through its field-name tuple.
+
+    ``dataclasses`` gives such a class a ``__getstate__`` and
+    ``__setstate__`` that call ``fields()`` once per instance; every
+    record of every cached artefact and pool result pays for it.  This
+    pair looks the names up once per class.  The state is the same list
+    of field values in field order, so the pickle bytes, and with them
+    every cached artefact and ``CACHE_FORMAT``, do not change:
+
+    >>> record = RequestSummary("a.com", 200, 1.5)
+    >>> record.__getstate__() == [getattr(record, f.name) for f in fields(record)]
+    True
+    >>> import pickle
+    >>> pickle.loads(pickle.dumps(record)) == record
+    True
+
+    ``__setstate__`` is generated code that sets each slot through its
+    member descriptor (the class is frozen), one statement per field,
+    the way ``dataclasses`` writes ``__init__``.
+    """
+    names = tuple(spec.name for spec in fields(cls))
+    values = attrgetter(*names)
+
+    def __getstate__(self):
+        return list(values(self))
+
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    exec(
+        "def __setstate__(self, state):\n"
+        f"    {', '.join(names)} = state\n"
+        + "".join(f"    _set_{name}(self, {name})\n" for name in names),
+        namespace,
+    )
+    cls.__getstate__ = __getstate__
+    cls.__setstate__ = namespace["__setstate__"]
+    return cls
+
+
+@_field_tuple_state
 @dataclass(frozen=True, slots=True)
 class RequestSummary:
     """The per-request facts the classifier and perf models need."""
@@ -44,6 +85,7 @@ class RequestSummary:
     method: str = "GET"
 
 
+@_field_tuple_state
 @dataclass(frozen=True, slots=True)
 class SessionRecord:
     """One observed connection, source-agnostic."""

@@ -12,6 +12,7 @@ memoization are measured the way production hits them.
 
 from __future__ import annotations
 
+import pickle
 import random
 import time
 from dataclasses import dataclass
@@ -232,6 +233,34 @@ def _bench_ecosystem_generate(repeat: int) -> MicroResult:
                        note="sites generated from scratch (no world cache)")
 
 
+def _bench_artefact_pickle(repeat: int) -> MicroResult:
+    from repro.core.session import LifetimeModel
+    from repro.crawl.alexa import AlexaCrawler, AlexaVariant
+    from repro.web.ecosystem import Ecosystem, EcosystemConfig
+
+    ecosystem = Ecosystem.generate(EcosystemConfig(seed=7, n_sites=60))
+    crawl = AlexaCrawler(ecosystem=ecosystem).run(
+        [site.domain for site in ecosystem.websites], AlexaVariant("fetch")
+    )
+    # One shard over every reachable site: what a 1-shard study caches
+    # under ``classify/``.
+    artefact = crawl.classify(model=LifetimeModel.ACTUAL)
+    records = sum(
+        len(classification.records)
+        for classification in artefact.classifications.values()
+    )
+
+    def work() -> int:
+        pickle.loads(pickle.dumps(artefact, protocol=pickle.HIGHEST_PROTOCOL))
+        return records
+
+    iterations, seconds = _best_of(work, repeat)
+    return MicroResult("artefact-pickle", iterations, seconds,
+                       note="session records through one dump and one load "
+                            "of a 60-site classify shard artefact, as the "
+                            "study cache stores and reads it")
+
+
 def run_microbenchmarks(*, repeat: int = 3) -> list[MicroResult]:
     """Run every hot-path microbenchmark; deterministic workloads."""
     ecosystem = _shared_ecosystem()
@@ -242,4 +271,5 @@ def run_microbenchmarks(*, repeat: int = 3) -> list[MicroResult]:
         _bench_pool_coalescing(ecosystem, repeat),
         _bench_page_load(ecosystem, repeat),
         _bench_ecosystem_generate(repeat),
+        _bench_artefact_pickle(repeat),
     ]

@@ -23,7 +23,15 @@ Layout on disk::
         classify/<key>.pkl       one pickled ClassifiedDataset
 
 The payloads are pickles of this package's own dataclasses; the cache
-is trusted local state, not an interchange format.  The synthetic
+is trusted local state, not an interchange format.  The slotted
+session records in them pickle through a field-name tuple computed
+once per class, whose state bytes match what ``dataclasses`` writes;
+that is why that speed-up did not move :data:`CACHE_FORMAT`.  Adding,
+removing or reordering a field of ``SessionRecord`` or
+``RequestSummary`` still needs a ``CACHE_FORMAT`` bump.  ``classify``
+artefact bytes depend on ``PYTHONHASHSEED``, because ``set`` fields
+pickle in hash order: compare artefacts byte for byte only under a
+fixed hash seed.  The synthetic
 ecosystem itself is *not* stored here — it regenerates deterministically
 from its config in well under a second and is shared between studies of
 one process via :func:`repro.runtime.ecosystem_for`.

@@ -48,7 +48,10 @@ def quantile(values: Sequence[float], q: float) -> float:
     lower = int(position)
     upper = min(lower + 1, len(ordered) - 1)
     fraction = position - lower
-    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
+    value = ordered[lower] * (1 - fraction) + ordered[upper] * fraction
+    # Each product rounds on its own, so equal subnormal neighbours can
+    # land off the pair (median([5e-324, 5e-324]) is 0.0); clamp back.
+    return min(max(value, ordered[lower]), ordered[upper])
 
 
 def median(values: Sequence[float]) -> float:
