@@ -11,15 +11,16 @@ Run:  python examples/har_pipeline_demo.py
 
 from __future__ import annotations
 
-from repro import Ecosystem, EcosystemConfig, HttpArchiveCrawler, LifetimeModel
+from repro import EcosystemConfig, HttpArchiveCrawler, LifetimeModel
 from repro.har.reader import read_sessions
+from repro.runtime import world_index_for
 from repro.util.formatting import align_table, pct
 
 
 def main() -> None:
-    ecosystem = Ecosystem.generate(EcosystemConfig(seed=7, n_sites=150))
-    crawler = HttpArchiveCrawler(ecosystem=ecosystem, seed=11)
-    domains = ecosystem.httparchive_sample(0.8, seed=1)
+    world = world_index_for(EcosystemConfig(seed=7, n_sites=150))
+    crawler = HttpArchiveCrawler(world=world, seed=11)
+    domains = world.httparchive_sample(0.8, seed=1)
 
     print(f"Crawling {len(domains)} sites (3 loads each, median HAR)...")
     corpus = crawler.crawl(domains)
@@ -44,9 +45,9 @@ def main() -> None:
     print(align_table(rows, header=["category", "requests"]))
 
     print("\nClassification under both lifetime models:")
-    endless = corpus.classify(model=LifetimeModel.ENDLESS, asdb=ecosystem.asdb)
+    endless = corpus.classify(model=LifetimeModel.ENDLESS, asdb=world.asdb)
     immediate = corpus.classify(model=LifetimeModel.IMMEDIATE,
-                                asdb=ecosystem.asdb)
+                                asdb=world.asdb)
     rows = []
     for dataset in (endless, immediate):
         report = dataset.report

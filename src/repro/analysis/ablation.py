@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from repro.core.report import CorpusReport
 from repro.core.session import LifetimeModel
 from repro.crawl.alexa import AlexaCrawler, AlexaVariant
-from repro.web.ecosystem import Ecosystem, EcosystemConfig
+from repro.runtime import world_index_for
+from repro.web.ecosystem import EcosystemConfig
 
 __all__ = ["MitigationOutcome", "MitigationComparison", "compare_mitigations"]
 
@@ -76,7 +77,7 @@ class MitigationComparison:
 
 
 def _measure(
-    ecosystem: Ecosystem,
+    config: EcosystemConfig,
     *,
     name: str,
     seed: int,
@@ -84,8 +85,9 @@ def _measure(
     ignore_privacy_mode: bool = False,
     honor_origin_frame: bool = False,
 ) -> MitigationOutcome:
-    crawler = AlexaCrawler(ecosystem=ecosystem, seed=seed)
-    domains = ecosystem.alexa_list(top)
+    world = world_index_for(config)
+    crawler = AlexaCrawler(world=world, seed=seed)
+    domains = world.alexa_list(top)
     run = crawler.run(domains, AlexaVariant(
         f"mitigation-{name}",
         ignore_privacy_mode=ignore_privacy_mode,
@@ -98,45 +100,37 @@ def _measure(
 def compare_mitigations(
     *, seed: int = 7, n_sites: int = 300, top: int | None = None
 ) -> MitigationComparison:
-    """Measure the baseline and all four mitigations on fresh worlds.
+    """Measure the baseline and all four mitigations, each on its world.
 
     Every variant reuses the same seed, so the site population and
     embeds are identical up to the mitigated infrastructure itself.
     """
     top = top or n_sites
     base_config = EcosystemConfig(seed=seed, n_sites=n_sites)
-    baseline = _measure(
-        Ecosystem.generate(base_config), name="baseline", seed=seed + 900, top=top
-    )
+    baseline = _measure(base_config, name="baseline", seed=seed + 900, top=top)
     comparison = MitigationComparison(baseline=baseline)
 
     comparison.outcomes["no-fetch-credentials"] = _measure(
-        Ecosystem.generate(base_config),
+        base_config,
         name="no-fetch-credentials",
         seed=seed + 900,
         top=top,
         ignore_privacy_mode=True,
     )
     comparison.outcomes["coordinated-dns"] = _measure(
-        Ecosystem.generate(
-            EcosystemConfig(seed=seed, n_sites=n_sites, coalesce_friendly_dns=True)
-        ),
+        EcosystemConfig(seed=seed, n_sites=n_sites, coalesce_friendly_dns=True),
         name="coordinated-dns",
         seed=seed + 900,
         top=top,
     )
     comparison.outcomes["merged-certificates"] = _measure(
-        Ecosystem.generate(
-            EcosystemConfig(seed=seed, n_sites=n_sites, merged_certificates=True)
-        ),
+        EcosystemConfig(seed=seed, n_sites=n_sites, merged_certificates=True),
         name="merged-certificates",
         seed=seed + 900,
         top=top,
     )
     comparison.outcomes["origin-frames"] = _measure(
-        Ecosystem.generate(
-            EcosystemConfig(seed=seed, n_sites=n_sites, advertise_origin_frames=True)
-        ),
+        EcosystemConfig(seed=seed, n_sites=n_sites, advertise_origin_frames=True),
         name="origin-frames",
         seed=seed + 900,
         top=top,

@@ -83,7 +83,7 @@ def compare_landing_vs_internal(
     )
     landing_report = CorpusReport(name="landing")
     internal_report = CorpusReport(name="internal")
-    for domain in ecosystem.alexa_list(top):
+    for domain in ecosystem.index.alexa_list(top):
         site = ecosystem.website(domain)
         if site is None or not site.internal_paths:
             continue

@@ -3,7 +3,8 @@
 One :class:`Study` object runs everything the paper's evaluation needs,
 in the paper's order:
 
-1. generate the synthetic web (one seed → one world);
+1. index the synthetic web (one seed → one world); the world itself is
+   built only when a crawl shard is not in the study cache;
 2. the HTTP Archive crawl (3 loads/site, median HAR, §4.3 noise) from
    the US vantage point, classified under the endless and immediate
    lifetime models;
@@ -39,15 +40,16 @@ from repro.runtime import (
     Executor,
     StageTimings,
     ecosystem_for,
-    ecosystem_is_cached,
     make_executor,
     null_timings,
+    world_index_for,
+    world_index_is_cached,
 )
 from repro.runtime.executor import parse_executor_spec
 from repro.runtime.gcpause import collector_paused
 from repro.store import StudyCache
 from repro.util.scenario import merge_counts
-from repro.web.ecosystem import Ecosystem, EcosystemConfig
+from repro.web.ecosystem import Ecosystem, EcosystemConfig, WorldIndex
 
 __all__ = ["StudyConfig", "Study", "DATASET_LABELS"]
 
@@ -209,7 +211,9 @@ class Study:
     """
 
     config: StudyConfig
-    ecosystem: Ecosystem
+    #: The world's :class:`~repro.web.ecosystem.WorldIndex`: all the
+    #: run itself read from the world (see :attr:`ecosystem`).
+    index: WorldIndex
     har_corpus: HarCorpus
     alexa_run: AlexaRun | None
     alexa_nofetch_run: AlexaRun | None
@@ -286,20 +290,22 @@ class Study:
         cache: StudyCache | None,
         runlog: RunContext,
     ) -> "Study":
+        # The run plans, keys, samples and classifies from the world
+        # index alone; the full world is built only when a crawl shard
+        # misses the cache (or when the index itself is not cached).
         eco_config = config.ecosystem_config()
-        world_cached = ecosystem_is_cached(eco_config)
+        world_cached = world_index_is_cached(eco_config, cache)
         with timings.stage(
             "generate-ecosystem", items=0 if world_cached else config.n_sites
         ):
-            ecosystem = ecosystem_for(eco_config)
-        asdb = ecosystem.asdb
+            index = world_index_for(eco_config, cache)
         n_shards = config.shards
 
         ha_crawler = HttpArchiveCrawler(
-            ecosystem=ecosystem, seed=config.seed + 100,
+            world=index, seed=config.seed + 100,
             fault_profile=config.fault_profile,
         )
-        ha_domains = ecosystem.httparchive_sample(
+        ha_domains = index.httparchive_sample(
             config.ha_sample_share, seed=config.seed + 1
         )
         # Each crawl plans its deterministic shard partition up front
@@ -317,9 +323,9 @@ class Study:
             )
 
         alexa_count = max(1, int(config.n_sites * config.alexa_share))
-        alexa_domains = ecosystem.alexa_list(alexa_count)
+        alexa_domains = index.alexa_list(alexa_count)
         alexa_crawler = AlexaCrawler(
-            ecosystem=ecosystem, seed=config.seed + 200,
+            world=index, seed=config.seed + 200,
             fault_profile=config.fault_profile,
         )
         # The Fetch-compliant run and the privacy-mode-patched one.
@@ -379,7 +385,7 @@ class Study:
         ):
             datasets = {
                 name: classify(
-                    name=name, plan=plan, asdb=asdb, cache=cache,
+                    name=name, plan=plan, asdb=index.asdb, cache=cache,
                     runlog=runlog,
                 )
                 for name, plan, classify in jobs
@@ -394,7 +400,7 @@ class Study:
 
         return cls(
             config=config,
-            ecosystem=ecosystem,
+            index=index,
             har_corpus=har_corpus,
             alexa_run=alexa_runs.get("fetch"),
             alexa_nofetch_run=alexa_runs.get("nofetch"),
@@ -404,6 +410,16 @@ class Study:
         )
 
     # ------------------------------------------------------------------
+    @property
+    def ecosystem(self) -> Ecosystem:
+        """The full world, resolved on use.
+
+        The run itself reads only :attr:`index`; the DNS study and the
+        renderers that inspect the world resolve it here, building it
+        when this process does not hold it.
+        """
+        return ecosystem_for(self.config.ecosystem_config())
+
     def dataset(self, key: str) -> ClassifiedDataset:
         return self.datasets[key]
 

@@ -42,6 +42,17 @@ class IssuerAttribution:
     connections: int = 0
     domains: set[str] = field(default_factory=set)
 
+    def __getstate__(self) -> dict:
+        # Sorted, so the pickle bytes do not depend on PYTHONHASHSEED.
+        state = dict(self.__dict__)
+        state["domains"] = sorted(self.domains)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Also loads the older state, which held the set itself.
+        state["domains"] = set(state["domains"])
+        self.__dict__ = state
+
 
 @dataclass
 class AttributionIndex:
@@ -60,6 +71,23 @@ class AttributionIndex:
     protocol_causes: dict[str, Counter] = field(
         default_factory=lambda: defaultdict(Counter)
     )
+
+    def __getstate__(self) -> dict:
+        # Sorted, so the pickle bytes do not depend on PYTHONHASHSEED.
+        state = dict(self.__dict__)
+        state["ip_as_domains"] = {
+            name: sorted(domains)
+            for name, domains in self.ip_as_domains.items()
+        }
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Also loads the older state, which held the sets themselves.
+        state["ip_as_domains"] = defaultdict(set, {
+            name: set(domains)
+            for name, domains in state["ip_as_domains"].items()
+        })
+        self.__dict__ = state
 
     def add_site(self, classification: SiteClassification) -> None:
         """Fold one classified site into the index."""

@@ -58,6 +58,18 @@ class SiteClassification:
     #: h2+h3 eligible set and redundancy is judged per protocol.
     h3_connections: int = 0
 
+    def __getstate__(self) -> dict:
+        # A set pickles in string-hash order; a sorted list pickles to
+        # the same bytes under every PYTHONHASHSEED.
+        state = dict(self.__dict__)
+        state["excluded_domains"] = sorted(self.excluded_domains)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Also loads the older state, which held the set itself.
+        state["excluded_domains"] = set(state["excluded_domains"])
+        self.__dict__ = state
+
     @property
     def redundant_records(self) -> list[SessionRecord]:
         """Connections with at least one cause, in establishment order."""

@@ -40,7 +40,7 @@ from repro.store import StudyCache, stable_key
 from repro.util.clock import SimClock
 from repro.util.rng import RngFactory, stable_hash
 from repro.util.scenario import merge_counts
-from repro.web.ecosystem import Ecosystem
+from repro.web.ecosystem import WorldIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runlog import RunContext
@@ -204,7 +204,7 @@ class AlexaCrawler(SiteCrawler):
 
     kind = "alexa-crawl"
 
-    ecosystem: Ecosystem
+    world: WorldIndex
     seed: int = 23
     vantage_country: str = "DE"
     start_time: float = 1_000_000.0
@@ -236,7 +236,7 @@ class AlexaCrawler(SiteCrawler):
         """
         return stable_key(
             "alexa-crawl",
-            *self.ecosystem.cache_world_key(domains),
+            *self.world.cache_world_key(domains),
             self.seed,
             self.vantage_country,
             self.start_time,
@@ -282,7 +282,7 @@ class AlexaCrawler(SiteCrawler):
 
         def task(domain: str, offset: int) -> _AlexaSiteTask:
             return _AlexaSiteTask(
-                ecosystem_config=self.ecosystem.config,
+                ecosystem_config=self.world.config,
                 seed=self.seed,
                 domain=domain,
                 start_time=start + offset * self.site_slot_s,

@@ -39,7 +39,7 @@ from repro.store import StudyCache, stable_key
 from repro.util.clock import SimClock
 from repro.util.rng import RngFactory, stable_hash
 from repro.util.scenario import merge_counts
-from repro.web.ecosystem import Ecosystem
+from repro.web.ecosystem import WorldIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runlog import RunContext
@@ -159,7 +159,7 @@ class HttpArchiveCrawler(SiteCrawler):
 
     kind = "har-crawl"
 
-    ecosystem: Ecosystem
+    world: WorldIndex
     seed: int = 11
     vantage_country: str = "US"
     noise: HarNoiseConfig = field(default_factory=HarNoiseConfig)
@@ -189,7 +189,7 @@ class HttpArchiveCrawler(SiteCrawler):
         """
         return stable_key(
             "har-crawl",
-            *self.ecosystem.cache_world_key(domains),
+            *self.world.cache_world_key(domains),
             self.seed,
             self.vantage_country,
             self.noise,
@@ -219,14 +219,14 @@ class HttpArchiveCrawler(SiteCrawler):
         shards: int = 1, plan: list[CrawlShard] | None = None,
         runlog: "RunContext | None" = None,
     ) -> HarCorpus:
-        """Crawl ``domains`` (default: the ecosystem's CrUX-like sample).
+        """Crawl ``domains`` (default: the world's CrUX-like sample).
 
         ``plan`` passes a precomputed :meth:`plan_shards`; see
         :class:`~repro.crawl.site.SiteCrawler` for ``cache`` and
         ``runlog``.
         """
         if domains is None:
-            domains = self.ecosystem.httparchive_sample(seed=self.seed)
+            domains = self.world.httparchive_sample(seed=self.seed)
         if plan is None:
             plan = self.plan_shards(domains, shards=shards, cache=cache)
         browser = BrowserConfig(
@@ -235,7 +235,7 @@ class HttpArchiveCrawler(SiteCrawler):
 
         def task(domain: str, offset: int) -> _HaSiteTask:
             return _HaSiteTask(
-                ecosystem_config=self.ecosystem.config,
+                ecosystem_config=self.world.config,
                 seed=self.seed,
                 domain=domain,
                 start_time=self.start_time + offset * self.site_slot_s,

@@ -6,7 +6,7 @@ function of the domain and the shard count, never of the other
 domains.  Each shard is cached independently under a key covering the
 world identity *of that shard's domains* (the pristine ecosystem
 config plus the domains' evolution token — see
-:meth:`repro.web.ecosystem.Ecosystem.cache_world_key`), the crawler
+:meth:`repro.web.ecosystem.WorldIndex.cache_world_key`), the crawler
 knobs, and the shard's domains with their global schedule slots.
 
 Two consequences fall out of that key shape:

@@ -19,10 +19,10 @@ from repro.crawl.shards import (
     run_sharded_stage,
 )
 from repro.faults.plan import FaultPlan
-from repro.runtime import Executor, SerialExecutor, ecosystem_for, prime_ecosystem
+from repro.runtime import Executor, SerialExecutor, ecosystem_for
 from repro.util.clock import SimClock
 from repro.util.rng import RngFactory
-from repro.web.ecosystem import Ecosystem, EcosystemConfig
+from repro.web.ecosystem import EcosystemConfig, WorldIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runlog import RunContext
@@ -87,6 +87,10 @@ class SiteCrawler:
     names one crawl (an :class:`~repro.crawl.alexa.AlexaVariant` for
     Alexa, nothing for the HTTP Archive).
 
+    A crawler keys and plans from its ``world`` index alone.  The full
+    world is resolved (see :func:`~repro.runtime.ecosystem_for`) only
+    when a shard must actually be crawled.
+
     A crawl with a ``cache`` loads the shards crawled before under an
     identical configuration and visits only the missing ones; its fold
     over shard parts equals the monolithic crawl for every shard count.
@@ -97,7 +101,7 @@ class SiteCrawler:
     """
 
     kind: ClassVar[str]
-    ecosystem: Ecosystem
+    world: WorldIndex
 
     def stage_key(self, domains: list[str], *run) -> str:
         """The 1-shard (whole-list) ``shard_key`` of ``domains``."""
@@ -136,7 +140,10 @@ class SiteCrawler:
         """
 
         def tasks(shard: CrawlShard) -> list[SiteTask]:
-            prime_ecosystem(self.ecosystem)
+            # Only a shard that misses the cache gets here: build (or
+            # find) the world now, in this process, so serial, thread
+            # and forked workers share it.
+            ecosystem_for(self.world.config)
             return [
                 task(domain, offset)
                 for domain, offset in zip(shard.domains, shard.offsets)

@@ -52,7 +52,7 @@ def evolve_ecosystem(ecosystem: "Ecosystem") -> None:
     epoch mutated, plus any non-site (shared service) names it churned.
     That record is what lets the sharded study cache decide, per site
     shard, whether an epoch-N artefact is still valid at epoch N+1
-    (:meth:`Ecosystem.evolution_token`).
+    (:meth:`~repro.web.ecosystem.WorldIndex.evolution_token`).
     """
     policy = POLICIES.lookup(ecosystem.config.evolution_policy)
     ledger = list(ecosystem.evolution_ledger)

@@ -52,7 +52,13 @@ class AsDatabase:
         end = int(prefix.network.broadcast_address)
         self._dirty.append((start, end, prefix.asn))
 
-    def _reindex(self) -> None:
+    def reindex(self) -> None:
+        """Fold pending prefixes into the sorted lookup index.
+
+        ``lookup`` does this lazily; a database about to be shared
+        between threads should be reindexed first, so that lookups
+        only read it.
+        """
         if not self._dirty:
             return
         triples = sorted(
@@ -63,9 +69,15 @@ class AsDatabase:
         self._entries = [entry for _, entry in triples]
         self._dirty = []
 
+    def __getstate__(self) -> dict:
+        # Pickle the sorted index, never pending prefixes: a database
+        # then pickles to the same bytes however it was filled.
+        self.reindex()
+        return dict(self.__dict__)
+
     def lookup(self, ip: str) -> AutonomousSystem | None:
         """Return the AS announcing ``ip``, or ``None``."""
-        self._reindex()
+        self.reindex()
         address = int(ipaddress.IPv4Address(ip))
         index = bisect.bisect_right(self._starts, address) - 1
         if index < 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -236,11 +237,12 @@ def _bench_ecosystem_generate(repeat: int) -> MicroResult:
 def _bench_artefact_pickle(repeat: int) -> MicroResult:
     from repro.core.session import LifetimeModel
     from repro.crawl.alexa import AlexaCrawler, AlexaVariant
-    from repro.web.ecosystem import Ecosystem, EcosystemConfig
+    from repro.runtime import world_index_for
+    from repro.web.ecosystem import EcosystemConfig
 
-    ecosystem = Ecosystem.generate(EcosystemConfig(seed=7, n_sites=60))
-    crawl = AlexaCrawler(ecosystem=ecosystem).run(
-        [site.domain for site in ecosystem.websites], AlexaVariant("fetch")
+    world = world_index_for(EcosystemConfig(seed=7, n_sites=60))
+    crawl = AlexaCrawler(world=world).run(
+        list(world.domains), AlexaVariant("fetch")
     )
     # One shard over every reachable site: what a 1-shard study caches
     # under ``classify/``.
@@ -261,6 +263,28 @@ def _bench_artefact_pickle(repeat: int) -> MicroResult:
                             "study cache stores and reads it")
 
 
+def _bench_warm_study(repeat: int) -> MicroResult:
+    from repro.analysis.study import Study, StudyConfig
+    from repro.runtime import clear_ecosystem_cache
+    from repro.store import StudyCache
+
+    config = StudyConfig(seed=7, n_sites=60, dns_study_days=0.25, shards=4)
+    with tempfile.TemporaryDirectory(prefix="repro-warm-study-") as directory:
+        Study.run(config, cache=StudyCache(directory))
+
+        def work() -> int:
+            # A warm study in a process that holds no world, as a
+            # restarted server or a rotation past the world cache sees.
+            clear_ecosystem_cache()
+            Study.run(config, cache=StudyCache(directory))
+            return config.n_sites
+
+        iterations, seconds = _best_of(work, repeat)
+    return MicroResult("warm-study", iterations, seconds,
+                       note="sites of a 60-site 4-shard study whose every "
+                            "shard is cached, world cache cleared first")
+
+
 def run_microbenchmarks(*, repeat: int = 3) -> list[MicroResult]:
     """Run every hot-path microbenchmark; deterministic workloads."""
     ecosystem = _shared_ecosystem()
@@ -272,4 +296,5 @@ def run_microbenchmarks(*, repeat: int = 3) -> list[MicroResult]:
         _bench_page_load(ecosystem, repeat),
         _bench_ecosystem_generate(repeat),
         _bench_artefact_pickle(repeat),
+        _bench_warm_study(repeat),
     ]

@@ -30,7 +30,9 @@ from repro.runtime.worker import (
     clear_ecosystem_cache,
     ecosystem_for,
     ecosystem_is_cached,
-    prime_ecosystem,
+    world_index_for,
+    world_index_is_cached,
+    world_key,
 )
 
 __all__ = [
@@ -47,5 +49,7 @@ __all__ = [
     "clear_ecosystem_cache",
     "ecosystem_for",
     "ecosystem_is_cached",
-    "prime_ecosystem",
+    "world_index_for",
+    "world_index_is_cached",
+    "world_key",
 ]

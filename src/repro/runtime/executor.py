@@ -340,9 +340,10 @@ class ProcessExecutor(_PoolExecutor):
     """Process-pool execution with chunked site batches.
 
     Workers are forked where the platform allows it, so the parent's
-    primed ecosystem cache (see :mod:`repro.runtime.worker`) is
-    inherited for free; under spawn/forkserver each worker regenerates
-    the world deterministically from its config on first use.
+    ecosystem cache (see :mod:`repro.runtime.worker`), which a crawl
+    fills before its tasks fan out, is inherited for free; under
+    spawn/forkserver each worker regenerates the world
+    deterministically from its config on first use.
     """
 
     name = "process"

@@ -1,11 +1,11 @@
-"""Worker-side ecosystem resolution.
+"""Worker-side ecosystem resolution, and the world index of a study.
 
 Process-pool tasks cannot cheaply carry the whole synthetic world in
 their pickled arguments, and they do not need to: the world is a pure
 function of its :class:`~repro.web.ecosystem.EcosystemConfig`.  Tasks
 therefore carry only the config; workers resolve it through a
-per-process cache.  The driver primes the cache with the already-built
-parent ecosystem, so serial and thread executors (and forked process
+per-process cache.  A crawl resolves its world in the parent before
+its tasks fan out, so serial and thread executors (and forked process
 workers) never regenerate anything, while spawned workers rebuild the
 identical world once on first use.
 
@@ -13,20 +13,34 @@ The cache holds at most :data:`MAX_CACHED_WORLDS` worlds (LRU): sweeps
 iterate over many ``(seed, n_sites)`` configurations, and without a
 bound every world of every cell would stay resident for the life of
 the process.  Evicted worlds simply regenerate on next use.
+
+A study itself needs only the world's
+:class:`~repro.web.ecosystem.WorldIndex`.  :func:`world_index_for`
+takes it from the in-process world, then from the study cache (kind
+``world``, key :func:`world_key`), and only then builds the world and
+writes its index, so a study whose every shard is cached builds no
+world at all.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
-from repro.web.ecosystem import Ecosystem, EcosystemConfig
+from repro.store import stable_key
+from repro.web.ecosystem import Ecosystem, EcosystemConfig, WorldIndex
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store import StudyCache
 
 __all__ = [
     "ecosystem_for",
     "ecosystem_is_cached",
-    "prime_ecosystem",
     "clear_ecosystem_cache",
+    "world_index_for",
+    "world_index_is_cached",
+    "world_key",
 ]
 
 #: Retained worlds per process; small, because one study uses one world
@@ -47,11 +61,6 @@ def _insert(config: EcosystemConfig, ecosystem: Ecosystem) -> None:
         _CACHE.move_to_end(config)
         while len(_CACHE) > MAX_CACHED_WORLDS:
             _CACHE.popitem(last=False)
-
-
-def prime_ecosystem(ecosystem: Ecosystem) -> None:
-    """Register an already-built world under its config."""
-    _insert(ecosystem.config, ecosystem)
 
 
 def ecosystem_is_cached(config: EcosystemConfig) -> bool:
@@ -79,3 +88,49 @@ def clear_ecosystem_cache() -> None:
     """Drop all cached worlds (tests only)."""
     with _LOCK:
         _CACHE.clear()
+
+
+def world_key(config: EcosystemConfig) -> str:
+    """The study-cache key of ``config``'s world index (kind ``world``)."""
+    return stable_key("world", config)
+
+
+def world_index_is_cached(
+    config: EcosystemConfig, cache: "StudyCache | None" = None
+) -> bool:
+    """Whether :func:`world_index_for` would build no world.
+
+    Like a crawl plan's ``cached`` flag, this is accounting only: an
+    entry that turns out damaged on load is rebuilt all the same.
+    """
+    return ecosystem_is_cached(config) or (
+        cache is not None and cache.contains("world", world_key(config))
+    )
+
+
+def world_index_for(
+    config: EcosystemConfig, cache: "StudyCache | None" = None
+) -> WorldIndex:
+    """The :class:`WorldIndex` of ``config``'s world.
+
+    Taken from the in-process world, else from ``cache``, else from a
+    newly built world (kept in process, as by :func:`ecosystem_for`).
+    Whenever the cache lacked the index it is written, so a cached
+    study always leaves its world index behind; a damaged entry counts
+    as a miss (see :meth:`~repro.store.StudyCache.get`) and heals here.
+    """
+    with _LOCK:
+        ecosystem = _CACHE.get(config)
+    if cache is None:
+        return (ecosystem or ecosystem_for(config)).index
+    key = world_key(config)
+    if ecosystem is not None:
+        index = ecosystem.index
+        if not cache.contains("world", key):
+            cache.put("world", key, index)
+        return index
+    index = cache.get("world", key)
+    if index is None:
+        index = ecosystem_for(config).index
+        cache.put("world", key, index)
+    return index

@@ -39,9 +39,11 @@ __all__ = ["ServeShutdown", "StudyService"]
 
 #: Stages whose item counts decide the ``"cached"`` flag: a response is
 #: cache-served when every one of these that ran recorded zero pending
-#: items.  ``generate-ecosystem`` is deliberately excluded — the world
-#: memoises in process memory, not in the study cache, so a fresh
-#: process's first warm-cache request still counts as cached.
+#: items.  ``generate-ecosystem`` is deliberately excluded.  It records
+#: zero items when the world index came from process memory or the
+#: study cache, but a cache written before the index was stored (or
+#: with a damaged index entry) rebuilds the world while every shard
+#: still hits, and that answer is still served from the cache.
 _MEASURED_STAGES = frozenset({
     "crawl-httparchive",
     "crawl-alexa-fetch",

@@ -21,6 +21,7 @@ Layout on disk::
         har-crawl/<key>.pkl      one pickled HarCorpus per crawl config
         alexa-crawl/<key>.pkl    one pickled AlexaRun per run config
         classify/<key>.pkl       one pickled ClassifiedDataset
+        world/<key>.pkl          one pickled WorldIndex per EcosystemConfig
 
 The payloads are pickles of this package's own dataclasses; the cache
 is trusted local state, not an interchange format.  The slotted
@@ -28,13 +29,17 @@ session records in them pickle through a field-name tuple computed
 once per class, whose state bytes match what ``dataclasses`` writes;
 that is why that speed-up did not move :data:`CACHE_FORMAT`.  Adding,
 removing or reordering a field of ``SessionRecord`` or
-``RequestSummary`` still needs a ``CACHE_FORMAT`` bump.  ``classify``
-artefact bytes depend on ``PYTHONHASHSEED``, because ``set`` fields
-pickle in hash order: compare artefacts byte for byte only under a
-fixed hash seed.  The synthetic
-ecosystem itself is *not* stored here — it regenerates deterministically
-from its config in well under a second and is shared between studies of
-one process via :func:`repro.runtime.ecosystem_for`.
+``RequestSummary`` still needs a ``CACHE_FORMAT`` bump.  The ``set``
+fields of a classification pickle as sorted lists (and load from either
+form), so every artefact's bytes are the same under every
+``PYTHONHASHSEED``.
+
+The ``world`` entry is a :class:`~repro.web.ecosystem.WorldIndex`: the
+domain lists, evolution ledger and AS database a study reads from its
+world.  A study whose every shard is cached loads it instead of
+building the synthetic ecosystem, which is built (and shared between
+studies of one process via :func:`repro.runtime.ecosystem_for`) only
+when a shard must be crawled.
 
 Keys are pure functions of their parts — equal by value, sensitive to
 every knob:
@@ -92,7 +97,7 @@ CACHE_FORMAT = 4
 #: The artefact kinds the cache stores.  ``_path`` validates against
 #: this set so a malformed kind can never address a directory outside
 #: the cache layout.
-KNOWN_KINDS = frozenset({"har-crawl", "alexa-crawl", "classify"})
+KNOWN_KINDS = frozenset({"har-crawl", "alexa-crawl", "classify", "world"})
 
 #: Keys are :func:`stable_key` digests: 32 lowercase hex characters.
 #: Anything else (``..``, ``..\\``, absolute paths) is rejected before

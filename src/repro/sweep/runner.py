@@ -169,7 +169,7 @@ def summarize_cell(
         },
         timings=timings,
         coverage=study.coverage,
-        churn=dict(study.ecosystem.evolution_ledger).get(
+        churn=dict(study.index.evolution_ledger).get(
             cell.config.epochs, ()
         ),
     )

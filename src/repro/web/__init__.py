@@ -1,6 +1,6 @@
 """Synthetic web ecosystem: resources, servers, third parties, websites."""
 
-from repro.web.ecosystem import Ecosystem, EcosystemConfig
+from repro.web.ecosystem import Ecosystem, EcosystemConfig, WorldIndex
 from repro.web.hosting import HostingProvider, ProviderDirectory, WELL_KNOWN_PROVIDERS
 from repro.web.resources import RequestMode, Resource, ResourceType
 from repro.web.server import OriginServer, build_fleet
@@ -23,4 +23,5 @@ __all__ = [
     "ShardingStyle",
     "Website",
     "WebsiteFactory",
+    "WorldIndex",
 ]

@@ -28,7 +28,7 @@ from repro.web.server import OriginServer
 from repro.web.thirdparty import ThirdPartyCatalog, ThirdPartyService
 from repro.web.website import Website, WebsiteFactory
 
-__all__ = ["EcosystemConfig", "Ecosystem"]
+__all__ = ["EcosystemConfig", "Ecosystem", "WorldIndex"]
 
 
 def _build_internal_pages(site, services, config, rng: random.Random) -> None:
@@ -121,6 +121,100 @@ class EcosystemConfig:
     h3_profile: str = "none"
 
 
+@dataclass(frozen=True)
+class WorldIndex:
+    """The few answers a study needs from a world it does not crawl.
+
+    A study reads the world for three things besides its crawls: which
+    domains to sample (:meth:`httparchive_sample`, :meth:`alexa_list`),
+    the world-identity part of every shard key (:meth:`cache_world_key`)
+    and the IP-to-AS attribution of classification (``asdb``).  This
+    index answers exactly those, pickles to about 10 KB at 200 sites,
+    and is cached per config by the study cache (kind ``world``), so a
+    study whose every shard is cached never builds the full
+    :class:`Ecosystem`.  :attr:`Ecosystem.index` takes it from a world.
+
+    Its fields are tuples, never sets, and the AS database pickles
+    reindexed, so the index pickles to the same bytes under every
+    ``PYTHONHASHSEED``.
+    """
+
+    config: EcosystemConfig
+    #: Site domains in generation order (the sample draws over these).
+    domains: tuple[str, ...]
+    #: Site domains by popularity rank.
+    ranked: tuple[str, ...]
+    #: The world's :attr:`Ecosystem.evolution_ledger`.
+    evolution_ledger: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]
+    #: The world's :attr:`Ecosystem.evolution_touched`.
+    evolution_touched: tuple[tuple[int, tuple[str, ...]], ...]
+    asdb: AsDatabase
+
+    def affected_epochs(self, domains: Sequence[str]) -> tuple[int, ...]:
+        """The applied epochs whose churn can alter measurements of
+        ``domains``.
+
+        An epoch affects the set when it touched one of the domains
+        directly, or when it touched a name that is not a site root —
+        shared third-party service entries are embedded by arbitrary
+        sites, so churn there conservatively dirties everyone.
+        """
+        if not self.evolution_touched:
+            return ()
+        wanted = frozenset(domains)
+        roots = frozenset(self.domains)
+        affected = []
+        for epoch, touched in self.evolution_touched:
+            for name in touched:
+                if name in wanted or name not in roots:
+                    affected.append(epoch)
+                    break
+        return tuple(affected)
+
+    def evolution_token(self, domains: Sequence[str]) -> tuple:
+        """The evolution-history component of a per-shard cache key.
+
+        ``()`` when no applied epoch touched ``domains`` — making the
+        key equal to the pristine world's, so an epoch-N+1 study reuses
+        epoch-N (or epoch-0) shard artefacts untouched by the ledger.
+        Otherwise the policy name plus the affected epoch numbers: any
+        churn that could change these domains' measurements changes
+        the token, and with it the key.
+        """
+        affected = self.affected_epochs(domains)
+        if not affected:
+            return ()
+        return (self.config.evolution_policy, affected)
+
+    def cache_world_key(self, domains: Sequence[str]) -> tuple:
+        """The world-identity part of a stage key for ``domains``.
+
+        The base (pristine) config plus the domains' evolution token,
+        instead of the raw config: two worlds differing only in epochs
+        whose churn never touched ``domains`` produce equal keys, which
+        is exactly the sharing per-shard incremental recompute needs.
+        """
+        base = dataclasses.replace(
+            self.config, evolution_policy="none", epoch=0
+        )
+        return (base, self.evolution_token(domains))
+
+    def alexa_list(self, top: int) -> list[str]:
+        """The top-``top`` site domains by rank (the synthetic Alexa list)."""
+        return list(self.ranked[:top])
+
+    def httparchive_sample(self, share: float = 0.75, *, seed: int = 1) -> list[str]:
+        """A deterministic sample of sites (the synthetic CrUX corpus).
+
+        Pure in ``(share, seed)``: one uniform draw per site, in
+        generation order.
+        """
+        if not 0 < share <= 1:
+            raise ValueError(f"share must be in (0, 1], got {share}")
+        rng = random.Random(seed)
+        return [domain for domain in self.domains if rng.random() < share]
+
+
 @dataclass
 class Ecosystem:
     """The fully wired synthetic Internet."""
@@ -135,12 +229,6 @@ class Ecosystem:
     services: list[ThirdPartyService]
     websites: list[Website]
     _by_domain: dict[str, Website] = field(default_factory=dict)
-    _by_rank: list[Website] | None = field(default=None, repr=False)
-    # thread-safe: httparchive_sample is called only while planning
-    # crawls on the coordinating thread, before tasks fan out.
-    _ha_samples: dict[tuple[float, int], list[str]] = field(
-        default_factory=dict, repr=False
-    )
     #: One ``(epoch, ((kind, count), ...))`` entry per applied churn
     #: epoch; empty for pristine worlds.  Rebuilt identically inside
     #: every process worker, so the longitudinal report can render it.
@@ -150,7 +238,7 @@ class Ecosystem:
     #: normalised to the owning root domain; names that are not site
     #: roots (shared third-party service entries) stay raw and dirty
     #: *every* site's measurements.  Drives per-shard cache
-    #: invalidation via :meth:`evolution_token`.
+    #: invalidation via :meth:`WorldIndex.evolution_token`.
     evolution_touched: tuple[tuple[int, tuple[str, ...]], ...] = ()
 
     @classmethod
@@ -236,7 +324,25 @@ class Ecosystem:
             from repro.evolve.engine import evolve_ecosystem
 
             evolve_ecosystem(ecosystem)
+        # Worlds are shared between threads once built: leave no lazy
+        # index work for concurrent lookups to race on.
+        asdb.reindex()
         return ecosystem
+
+    @property
+    def index(self) -> WorldIndex:
+        """A :class:`WorldIndex` of this world as it stands now."""
+        return WorldIndex(
+            config=self.config,
+            domains=tuple(site.domain for site in self.websites),
+            ranked=tuple(
+                site.domain
+                for site in sorted(self.websites, key=lambda site: site.rank)
+            ),
+            evolution_ledger=self.evolution_ledger,
+            evolution_touched=self.evolution_touched,
+            asdb=self.asdb,
+        )
 
     # ------------------------------------------------------------------
     def server_for_ip(self, ip: str) -> OriginServer:
@@ -396,75 +502,3 @@ class Ecosystem:
                 for domain in server.cert_map
                 if domain not in server.excluded_domains
             )
-
-    def affected_epochs(self, domains: Sequence[str]) -> tuple[int, ...]:
-        """The applied epochs whose churn can alter measurements of
-        ``domains``.
-
-        An epoch affects the set when it touched one of the domains
-        directly, or when it touched a name that is not a site root —
-        shared third-party service entries are embedded by arbitrary
-        sites, so churn there conservatively dirties everyone.
-        """
-        wanted = frozenset(domains)
-        roots = frozenset(self._by_domain)
-        affected = []
-        for epoch, touched in self.evolution_touched:
-            for name in touched:
-                if name in wanted or name not in roots:
-                    affected.append(epoch)
-                    break
-        return tuple(affected)
-
-    def evolution_token(self, domains: Sequence[str]) -> tuple:
-        """The evolution-history component of a per-shard cache key.
-
-        ``()`` when no applied epoch touched ``domains`` — making the
-        key equal to the pristine world's, so an epoch-N+1 study reuses
-        epoch-N (or epoch-0) shard artefacts untouched by the ledger.
-        Otherwise the policy name plus the affected epoch numbers: any
-        churn that could change these domains' measurements changes
-        the token, and with it the key.
-        """
-        affected = self.affected_epochs(domains)
-        if not affected:
-            return ()
-        return (self.config.evolution_policy, affected)
-
-    def cache_world_key(self, domains: Sequence[str]) -> tuple:
-        """The world-identity part of a stage key for ``domains``.
-
-        The base (pristine) config plus the domains' evolution token,
-        instead of the raw config: two worlds differing only in epochs
-        whose churn never touched ``domains`` produce equal keys, which
-        is exactly the sharing per-shard incremental recompute needs.
-        """
-        base = dataclasses.replace(
-            self.config, evolution_policy="none", epoch=0
-        )
-        return (base, self.evolution_token(domains))
-
-    def alexa_list(self, top: int) -> list[str]:
-        """The top-``top`` site domains by rank (the synthetic Alexa list)."""
-        # The rank order never changes once generated; sweeps share one
-        # ecosystem across many cells, so sort once and slice per call.
-        if self._by_rank is None:
-            self._by_rank = sorted(self.websites, key=lambda site: site.rank)
-        return [site.domain for site in self._by_rank[:top]]
-
-    def httparchive_sample(self, share: float = 0.75, *, seed: int = 1) -> list[str]:
-        """A deterministic sample of sites (the synthetic CrUX corpus).
-
-        Pure in (share, seed) for a generated world, so repeated calls
-        (every sweep cell re-plans its crawl) reuse the first draw.
-        """
-        if not 0 < share <= 1:
-            raise ValueError(f"share must be in (0, 1], got {share}")
-        cached = self._ha_samples.get((share, seed))
-        if cached is None:
-            rng = random.Random(seed)
-            cached = [
-                site.domain for site in self.websites if rng.random() < share
-            ]
-            self._ha_samples[(share, seed)] = cached
-        return list(cached)

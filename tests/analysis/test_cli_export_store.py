@@ -134,8 +134,8 @@ class TestExport:
 
 class TestHarStore:
     def test_save_load_roundtrip(self, small_ecosystem, tmp_path):
-        crawler = HttpArchiveCrawler(ecosystem=small_ecosystem, seed=31)
-        corpus = crawler.crawl(small_ecosystem.alexa_list(8))
+        crawler = HttpArchiveCrawler(world=small_ecosystem.index, seed=31)
+        corpus = crawler.crawl(small_ecosystem.index.alexa_list(8))
         save_corpus(corpus, tmp_path / "corpus")
         loaded = load_corpus(tmp_path / "corpus")
         assert loaded.name == corpus.name
@@ -145,8 +145,8 @@ class TestHarStore:
 
     def test_loaded_corpus_classifies_identically(self, small_ecosystem,
                                                   tmp_path):
-        crawler = HttpArchiveCrawler(ecosystem=small_ecosystem, seed=32)
-        corpus = crawler.crawl(small_ecosystem.alexa_list(8))
+        crawler = HttpArchiveCrawler(world=small_ecosystem.index, seed=32)
+        corpus = crawler.crawl(small_ecosystem.index.alexa_list(8))
         save_corpus(corpus, tmp_path / "c2")
         loaded = load_corpus(tmp_path / "c2")
         original = corpus.classify(model=LifetimeModel.ENDLESS)

@@ -4,7 +4,8 @@ A shard's cache key is a promise to every cache on disk: the same
 configuration finds the same artefact.  These pins hold the exact key
 of every crawl shard and every classification shard of one fixed small
 study with two shards, read back from the run journal, so a refactor of
-the crawl harnesses cannot move a key without this test saying so.
+the crawl harnesses cannot move a key without this test saying so.  The
+world index's key is pinned the same way.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import pytest
 
 from repro.analysis.study import Study, StudyConfig
 from repro.runlog.journal import journal_dir, load_records
+from repro.runtime import world_key
 from repro.store import StudyCache
+from repro.web.ecosystem import EcosystemConfig
 
 _CONFIG = StudyConfig(seed=7, n_sites=40, shards=2, dns_study_days=0.25)
 
@@ -52,6 +55,18 @@ PINNED_KEYS: dict[str, tuple[str, ...]] = {
         "560c11995e02098156671eca3addcf14",
     ),
 }
+
+
+#: The ``world`` key of ``_CONFIG``'s world index.
+PINNED_WORLD_KEY = "3455fc30463dc5c429b08f89d3ec38e4"
+
+#: The ``world`` key of the default ``EcosystemConfig()``.
+PINNED_DEFAULT_WORLD_KEY = "d12665e513350b1f772ebb2a874aeb78"
+
+
+def test_world_keys_are_unchanged():
+    assert world_key(_CONFIG.ecosystem_config()) == PINNED_WORLD_KEY
+    assert world_key(EcosystemConfig()) == PINNED_DEFAULT_WORLD_KEY
 
 
 @pytest.fixture(scope="module")
@@ -104,4 +119,4 @@ def test_warm_rerun_hits_every_pinned_key(tmp_path):
             key,
         )
         for stage, keys in PINNED_KEYS.items() for key in keys
-    }
+    } | {("world", PINNED_WORLD_KEY)}

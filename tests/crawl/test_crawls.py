@@ -14,15 +14,15 @@ from repro.har.writer import HarNoiseConfig
 
 @pytest.fixture(scope="module")
 def ha_corpus(small_ecosystem):
-    crawler = HttpArchiveCrawler(ecosystem=small_ecosystem, seed=11)
-    domains = small_ecosystem.httparchive_sample(0.6, seed=1)[:40]
+    crawler = HttpArchiveCrawler(world=small_ecosystem.index, seed=11)
+    domains = small_ecosystem.index.httparchive_sample(0.6, seed=1)[:40]
     return crawler.crawl(domains)
 
 
 @pytest.fixture(scope="module")
 def alexa_runs(small_ecosystem):
-    crawler = AlexaCrawler(ecosystem=small_ecosystem, seed=23)
-    domains = small_ecosystem.alexa_list(40)
+    crawler = AlexaCrawler(world=small_ecosystem.index, seed=23)
+    domains = small_ecosystem.index.alexa_list(40)
     run = crawler.run(domains, AlexaVariant("t-fetch"))
     patched = crawler.run(domains, AlexaVariant(
         "t-nofetch", ignore_privacy_mode=True, run_offset=100_000.0
@@ -51,19 +51,19 @@ class TestHttpArchiveCrawler:
 
     def test_noise_is_filtered_and_counted(self, small_ecosystem):
         crawler = HttpArchiveCrawler(
-            ecosystem=small_ecosystem, seed=12,
+            world=small_ecosystem.index, seed=12,
             noise=HarNoiseConfig(h3_socket_zero=0.2),
         )
-        corpus = crawler.crawl(small_ecosystem.alexa_list(10))
+        corpus = crawler.crawl(small_ecosystem.index.alexa_list(10))
         dataset = corpus.classify(model=LifetimeModel.ENDLESS)
         assert dataset.filter_stats.socket_id_zero > 0
 
     def test_sharded_filter_stats_add_up(self, small_ecosystem):
         crawler = HttpArchiveCrawler(
-            ecosystem=small_ecosystem, seed=12,
+            world=small_ecosystem.index, seed=12,
             noise=HarNoiseConfig(h3_socket_zero=0.2),
         )
-        domains = small_ecosystem.alexa_list(10)
+        domains = small_ecosystem.index.alexa_list(10)
         plan = crawler.plan_shards(domains, shards=3)
         corpus = crawler.crawl(domains, plan=plan)
         whole = corpus.classify(model=LifetimeModel.ENDLESS)
@@ -75,9 +75,9 @@ class TestHttpArchiveCrawler:
         assert sharded.filter_stats == whole.filter_stats
 
     def test_deterministic(self, small_ecosystem):
-        domains = small_ecosystem.alexa_list(8)
-        a = HttpArchiveCrawler(ecosystem=small_ecosystem, seed=5).crawl(domains)
-        b = HttpArchiveCrawler(ecosystem=small_ecosystem, seed=5).crawl(domains)
+        domains = small_ecosystem.index.alexa_list(8)
+        a = HttpArchiveCrawler(world=small_ecosystem.index, seed=5).crawl(domains)
+        b = HttpArchiveCrawler(world=small_ecosystem.index, seed=5).crawl(domains)
         for domain in a.hars:
             assert a.hars[domain].to_dict() == b.hars[domain].to_dict()
 

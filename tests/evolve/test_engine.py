@@ -267,7 +267,7 @@ class TestGenerateIntegration:
         assert [site.domain for site in pristine.websites] == [
             site.domain for site in evolved.websites
         ]
-        assert pristine.alexa_list(10) == evolved.alexa_list(10)
+        assert pristine.index.alexa_list(10) == evolved.index.alexa_list(10)
 
     def test_unknown_policy_fails_at_generate(self):
         with pytest.raises(ValueError, match="unknown evolution policy"):

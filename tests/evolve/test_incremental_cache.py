@@ -46,10 +46,10 @@ def _crawl_keys(config: StudyConfig) -> dict[tuple[str, int], str]:
     ecosystem = Ecosystem.generate(config.ecosystem_config())
     keys: dict[tuple[str, int], str] = {}
     ha = HttpArchiveCrawler(
-        ecosystem=ecosystem, seed=config.seed + 100,
+        world=ecosystem.index, seed=config.seed + 100,
         fault_profile=config.fault_profile,
     )
-    ha_domains = ecosystem.httparchive_sample(
+    ha_domains = ecosystem.index.httparchive_sample(
         config.ha_sample_share, seed=config.seed + 1
     )
     for shard in ha.plan_shards(ha_domains, shards=_N_SHARDS):
@@ -57,10 +57,10 @@ def _crawl_keys(config: StudyConfig) -> dict[tuple[str, int], str]:
             shard.domains, shard.offsets
         )
     alexa = AlexaCrawler(
-        ecosystem=ecosystem, seed=config.seed + 200,
+        world=ecosystem.index, seed=config.seed + 200,
         fault_profile=config.fault_profile,
     )
-    alexa_domains = ecosystem.alexa_list(
+    alexa_domains = ecosystem.index.alexa_list(
         max(1, int(config.n_sites * config.alexa_share))
     )
     for stage, variant in (("fetch", ALEXA_FETCH), ("nofetch", ALEXA_NOFETCH)):

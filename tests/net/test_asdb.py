@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.net.address_space import PrefixAllocator
@@ -81,3 +83,14 @@ class TestAsDatabase:
         ip2 = allocator.allocate_host(second)
         assert asdb.lookup(ip2).asn == 1
         assert asdb.lookup(ip1).asn == 1
+
+    def test_pickles_reindexed_whatever_the_fill_order(self, asdb_with_prefixes):
+        """Pending prefixes never reach a pickle: a database filled and
+        looked up in any order pickles to the same bytes."""
+        asdb, allocator, gp, ap, google, amazon = asdb_with_prefixes
+        looked_up = pickle.loads(pickle.dumps(asdb))
+        looked_up.lookup(allocator.allocate_host(gp))
+        loaded = pickle.loads(pickle.dumps(asdb))
+        assert loaded._dirty == []
+        assert pickle.dumps(loaded) == pickle.dumps(looked_up)
+        assert loaded.lookup(allocator.allocate_host(ap)) == amazon

@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.digest import study_digest
 from repro.analysis.study import Study, StudyConfig
+from repro.runtime import clear_ecosystem_cache
 
 _GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -50,6 +51,31 @@ class TestStudyEndpoint:
         assert second["cached"] is True
         assert second["datasets"] == first["datasets"]
         assert second["headline"] == first["headline"]
+
+    def test_fresh_service_answers_warm_without_a_world(
+        self, serve_factory, small_body, tmp_path
+    ):
+        # A restarted server over a filled cache: the world index comes
+        # from the cache, so the warm answer builds no world.
+        directory = tmp_path / "shared-cache"
+        status, cold = serve_factory(cache_dir=directory).post(
+            "/v1/study", small_body
+        )
+        assert status == 200 and cold["cached"] is False
+        clear_ecosystem_cache()
+        fresh = serve_factory(cache_dir=directory)
+        status, warm = fresh.post("/v1/study", small_body)
+        assert status == 200
+        assert warm["cached"] is True
+        assert warm["digest"] == cold["digest"]
+        (stage,) = [
+            stage for stage in warm["stages"]
+            if stage["name"] == "generate-ecosystem"
+        ]
+        assert stage["items"] == 0
+        status, health = fresh.get("/v1/healthz")
+        assert health["cache"]["world"]["hits"] == 1
+        assert health["cache"]["world"]["writes"] == 0
 
     def test_sse_stream_orders_events_and_reports_reuse(
         self, serve_handle, small_body

@@ -80,6 +80,20 @@ class TestStudyCache:
         assert cache.prune({("classify", keep)}) == 1
         assert set(cache.entries()) == {("classify", keep)}
 
+    def test_world_entries_list_and_prune(self, tmp_path, small_ecosystem):
+        cache = StudyCache(tmp_path)
+        world = stable_key("world", small_ecosystem.config)
+        shard = stable_key("shard")
+        cache.put("world", world, small_ecosystem.index)
+        cache.put("classify", shard, 1)
+        assert set(cache.entries()) == {("world", world), ("classify", shard)}
+        assert cache.prune({("world", world)}) == 1
+        assert set(cache.entries()) == {("world", world)}
+        loaded = cache.get("world", world)
+        assert loaded.alexa_list(5) == small_ecosystem.index.alexa_list(5)
+        assert cache.prune(set()) == 1
+        assert list(cache.entries()) == []
+
     def test_rejects_path_separators(self, tmp_path):
         cache = StudyCache(tmp_path)
         with pytest.raises(ValueError):
@@ -155,8 +169,8 @@ class TestStudyCache:
 class TestCrawlCaching:
     def test_har_crawl_warm_hit_is_identical(self, small_ecosystem, tmp_path):
         cache = StudyCache(tmp_path)
-        crawler = HttpArchiveCrawler(ecosystem=small_ecosystem, seed=51)
-        domains = small_ecosystem.alexa_list(8)
+        crawler = HttpArchiveCrawler(world=small_ecosystem.index, seed=51)
+        domains = small_ecosystem.index.alexa_list(8)
         cold = crawler.crawl(domains, cache=cache)
         warm = crawler.crawl(domains, cache=cache)
         assert cache.counters["har-crawl"] == CacheStats(hits=1, misses=1, writes=1)
@@ -165,24 +179,24 @@ class TestCrawlCaching:
 
     def test_alexa_run_warm_hit_is_identical(self, small_ecosystem, tmp_path):
         cache = StudyCache(tmp_path)
-        crawler = AlexaCrawler(ecosystem=small_ecosystem, seed=52)
-        domains = small_ecosystem.alexa_list(8)
+        crawler = AlexaCrawler(world=small_ecosystem.index, seed=52)
+        domains = small_ecosystem.index.alexa_list(8)
         cold = crawler.run(domains, AlexaVariant("alexa-fetch"), cache=cache)
         warm = crawler.run(domains, AlexaVariant("alexa-fetch"), cache=cache)
         assert cache.counters["alexa-crawl"].hits == 1
         assert set(warm.measurements) == set(cold.measurements)
 
     def test_run_name_invalidates_alexa_key(self, small_ecosystem):
-        crawler = AlexaCrawler(ecosystem=small_ecosystem, seed=52)
-        domains = small_ecosystem.alexa_list(4)
+        crawler = AlexaCrawler(world=small_ecosystem.index, seed=52)
+        domains = small_ecosystem.index.alexa_list(4)
         assert crawler.stage_key(domains, AlexaVariant("a")) != (
             crawler.stage_key(domains, AlexaVariant("b"))
         )
 
     def test_classification_caches_on_provenance(self, small_ecosystem, tmp_path):
         cache = StudyCache(tmp_path)
-        crawler = HttpArchiveCrawler(ecosystem=small_ecosystem, seed=53)
-        corpus = crawler.crawl(small_ecosystem.alexa_list(8), cache=cache)
+        crawler = HttpArchiveCrawler(world=small_ecosystem.index, seed=53)
+        corpus = crawler.crawl(small_ecosystem.index.alexa_list(8), cache=cache)
         cold = corpus.classify(model=LifetimeModel.ENDLESS, cache=cache)
         warm = corpus.classify(model=LifetimeModel.ENDLESS, cache=cache)
         assert cache.counters["classify"].hits == 1
@@ -195,9 +209,9 @@ class TestCrawlCaching:
         self, small_ecosystem, tmp_path
     ):
         cache = StudyCache(tmp_path)
-        crawler = HttpArchiveCrawler(ecosystem=small_ecosystem, seed=54)
+        crawler = HttpArchiveCrawler(world=small_ecosystem.index, seed=54)
         # A cache-less crawl computes no stage key and sets no provenance...
-        corpus = crawler.crawl(small_ecosystem.alexa_list(4))
+        corpus = crawler.crawl(small_ecosystem.index.alexa_list(4))
         assert corpus.provenance is None
         # ...so a later cached classification cannot key itself and skips.
         corpus.classify(model=LifetimeModel.ENDLESS, cache=cache)

@@ -44,14 +44,14 @@ class TestGenerate:
         assert small_ecosystem.geo_rewrites("US") == {}
 
     def test_alexa_list_ordered_by_rank(self, small_ecosystem):
-        top = small_ecosystem.alexa_list(10)
+        top = small_ecosystem.index.alexa_list(10)
         assert len(top) == 10
         ranks = [small_ecosystem.website(d).rank for d in top]
         assert ranks == sorted(ranks)
 
     def test_httparchive_sample_deterministic_subset(self, small_ecosystem):
-        sample = small_ecosystem.httparchive_sample(0.5, seed=1)
-        again = small_ecosystem.httparchive_sample(0.5, seed=1)
+        sample = small_ecosystem.index.httparchive_sample(0.5, seed=1)
+        again = small_ecosystem.index.httparchive_sample(0.5, seed=1)
         assert sample == again
         assert 0 < len(sample) < len(small_ecosystem.websites)
 
