@@ -145,13 +145,22 @@ def partial_study_digest(
     byte, whatever the shard count or fold order.
     """
     wanted = None if sites is None else frozenset(sites)
+    # The overlap datasets hold the very classification objects of the
+    # datasets they subset, so each object is rendered once per call.
+    # Keyed by id(): every object stays alive in ``datasets`` meanwhile.
+    rendered: dict[int, bytes] = {}
     parts: dict[str, tuple[bytes, dict[str, bytes]]] = {}
     for key, dataset in datasets.items():
-        chunks = {
-            site: _site_chunk(classification)
-            for site, classification in dataset.classifications.items()
-            if wanted is None or site in wanted
-        }
+        chunks = {}
+        for site, classification in dataset.classifications.items():
+            if wanted is not None and site not in wanted:
+                continue
+            chunk = rendered.get(id(classification))
+            if chunk is None:
+                chunk = rendered[id(classification)] = _site_chunk(
+                    classification
+                )
+            chunks[site] = chunk
         parts[key] = (_dataset_header(dataset), chunks)
     return DigestPart(parts)
 

@@ -823,8 +823,10 @@ def main(argv: list[str] | None = None) -> int:
         # Ctrl-C mid-run is an expected, recoverable event, not a
         # crash: executor pools and run journals close on their way
         # out (context managers / finally blocks), the cache only ever
-        # holds atomically-renamed entries, and the journal's fsynced
-        # prefix is exactly what --resume replays.
+        # holds atomically-renamed entries, and the journal's flushed
+        # prefix (fsynced up to its last synced record; closing syncs
+        # any trailing shard-skip notes) is exactly what --resume
+        # replays.
         print("\ninterrupted; re-run with --resume --cache-dir to pick "
               "up where this run left off", file=sys.stderr)
         return 130

@@ -33,6 +33,10 @@ class OriginAttribution:
     def top_previous(self, top: int = 2) -> list[tuple[str, int]]:
         return self.previous.most_common(top)
 
+    def merge(self, other: "OriginAttribution") -> None:
+        self.connections += other.connections
+        self.previous.update(other.previous)
+
 
 @dataclass
 class IssuerAttribution:
@@ -52,6 +56,10 @@ class IssuerAttribution:
         # Also loads the older state, which held the set itself.
         state["domains"] = set(state["domains"])
         self.__dict__ = state
+
+    def merge(self, other: "IssuerAttribution") -> None:
+        self.connections += other.connections
+        self.domains |= other.domains
 
 
 @dataclass
@@ -118,6 +126,33 @@ class AttributionIndex:
                 domain.connections += 1
                 domain.previous[hit.previous.domain] += 1
                 self.cert_domain_issuer[hit.record.domain] = hit.record.issuer
+
+    def merge(self, other: "AttributionIndex") -> None:
+        """Fold another index into this one.
+
+        The same as replaying ``other``'s sites through :meth:`add_site`
+        and :meth:`attribute_ases` after this index's own: counts add,
+        sets union, new keys append in ``other``'s first-seen order and
+        ``cert_domain_issuer`` keeps the later write.  Copies what it
+        takes, so ``other`` is never aliased or changed.
+        """
+        for mine, theirs, kind in (
+            (self.ip_origins, other.ip_origins, OriginAttribution),
+            (self.cert_issuers, other.cert_issuers, IssuerAttribution),
+            (self.cert_domains, other.cert_domains, OriginAttribution),
+            (self.all_issuers, other.all_issuers, IssuerAttribution),
+        ):
+            for key, attribution in theirs.items():
+                target = mine.get(key)
+                if target is None:
+                    target = mine[key] = kind(key)
+                target.merge(attribution)
+        self.cert_domain_issuer.update(other.cert_domain_issuer)
+        self.ip_as_connections.update(other.ip_as_connections)
+        for name, domains in other.ip_as_domains.items():
+            self.ip_as_domains[name] |= domains
+        for protocol, causes in other.protocol_causes.items():
+            self.protocol_causes[protocol].update(causes)
 
     def attribute_ases(
         self, asdb: AsDatabase, classification: SiteClassification

@@ -61,6 +61,26 @@ class CorpusReport:
                 self.by_cause[cause].sites += 1
                 self.by_cause[cause].connections += count
 
+    def merge(self, other: "CorpusReport") -> None:
+        """Fold another report's tallies into this one.
+
+        The same as replaying ``other``'s sites through :meth:`add_site`
+        after this report's own: counters add and ``redundant_per_site``
+        concatenates.
+        """
+        self.total_sites += other.total_sites
+        self.h2_sites += other.h2_sites
+        self.total_connections += other.total_connections
+        self.h2_connections += other.h2_connections
+        self.h3_connections += other.h3_connections
+        self.redundant_sites += other.redundant_sites
+        self.redundant_connections += other.redundant_connections
+        for cause, theirs in other.by_cause.items():
+            counts = self.by_cause[cause]
+            counts.sites += theirs.sites
+            counts.connections += theirs.connections
+        self.redundant_per_site.extend(other.redundant_per_site)
+
     # ------------------------------------------------------------------
     def site_share(self, cause: Cause) -> float:
         """Share of h2 sites affected by ``cause`` (paper-style)."""

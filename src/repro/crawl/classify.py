@@ -114,26 +114,24 @@ def merge_classified_datasets(
     name: str,
     model: LifetimeModel,
     partials: Iterable[ClassifiedDataset],
-    *,
-    asdb: AsDatabase | None = None,
 ) -> ClassifiedDataset:
     """Fold per-shard partial datasets into the whole.
 
-    Rebuilds the report and attribution index from the concatenated
-    per-site classifications, so the merge is a pure function of the
-    partials' contents: folding a disjoint site partition reproduces
-    the monolithic aggregate.  A lone partial *is* the whole and is
-    returned as is — the 1-shard path, byte for byte.  Per-shard
-    ``filter_stats`` (the HAR sanitisation counters) merge additively
-    when present.
+    Merges the partials' reports and attribution indexes in order
+    (:meth:`CorpusReport.merge`, :meth:`AttributionIndex.merge`)
+    instead of replaying their sites, and folding a disjoint site
+    partition reproduces the monolithic aggregate, key order included.  A lone partial *is* the whole and is returned as
+    is — the 1-shard path, byte for byte.  Per-shard ``filter_stats``
+    (the HAR sanitisation counters) merge additively when present.
     """
     partials = list(partials)
     if len(partials) == 1:
         return partials[0]
-    pairs = [
-        pair for partial in partials for pair in partial.classifications.items()
-    ]
-    dataset = aggregate_classifications(name, model, pairs, asdb=asdb)
+    dataset = aggregate_classifications(name, model, ())
+    for partial in partials:
+        dataset.report.merge(partial.report)
+        dataset.attribution.merge(partial.attribution)
+        dataset.classifications.update(partial.classifications)
     dataset.filter_stats = _sum_filter_stats(
         partial.filter_stats for partial in partials
     )
@@ -239,7 +237,7 @@ def run_classification(
 
     return run_sharded_stage(
         f"classify-{name}", "classify", plan, worker, items, part,
-        lambda parts: merge_classified_datasets(name, model, parts, asdb=asdb),
+        lambda parts: merge_classified_datasets(name, model, parts),
         executor=SerialExecutor(), cache=cache, runlog=runlog,
     )
 

@@ -3,7 +3,9 @@
 The run layer makes long studies survivable:
 
 * :mod:`repro.runlog.journal` — an append-only, fsync'd JSONL journal
-  per run whose loader tolerates torn tails;
+  per run whose loader tolerates torn tails.  Every record is flushed;
+  a synced record makes every earlier one durable, and ``shard-skip``
+  (a cached shard) is the one kind left for the next sync or close;
 * :mod:`repro.runlog.retry` — transient/fatal failure classification
   and the chunk-then-single-item retry loop;
 * :mod:`repro.runlog.context` — the :class:`RunContext` the pipeline

@@ -232,14 +232,17 @@ class RunContext:
 
         The skip reason distinguishes "this run's journal already saw
         it finish" (a resume skipping completed work) from "the
-        content-addressed cache had it" (any warm run).
+        content-addressed cache had it" (any warm run).  The record is
+        flushed but not fsynced: the next synced record or the
+        journal's close makes it durable, and losing it to power loss
+        costs a resume one more cache probe with the same answer.
         """
         token = self._token(stage, shard)
         reason = "journal" if token in self.replay.finished else "cache"
         self.journal.append({
             "event": "shard-skip", "stage": stage, "key": token,
             "artifact": shard.key, "reason": reason,
-        })
+        }, sync=False)
         self._ok.add(token)
 
     def is_quarantined(self, key: str | None) -> bool:

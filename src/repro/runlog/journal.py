@@ -13,8 +13,17 @@ displays the journal file's mtime for humans instead.
 
 Crash safety comes from two halves:
 
-* every :meth:`RunJournal.append` flushes and ``fsync``\\ s, so a record
-  once appended survives the process dying the next instant;
+* every :meth:`RunJournal.append` writes and flushes its line, so a
+  record once appended survives the process dying the next instant
+  (SIGKILL included), and every *synced* append also ``fsync``\\ s,
+  which makes it and every earlier record survive power loss.  One
+  record kind is appended unsynced: ``shard-skip``, the note that a
+  shard's artefact was already cached.  The next synced append, or
+  :meth:`RunJournal.close`, makes it durable.  Power loss before then
+  can drop it, and a resume then probes the cache again and gets the
+  same answer; ``StudyCache.put`` never fsyncs artefacts either, so
+  syncing a skip made nothing more durable.  A warm study thus
+  fsyncs twice (``run-start``, ``run-finish``), not once per shard;
 * :func:`load_records` validates line by line (CRC + JSON + envelope
   shape) and stops at the first bad line, so a torn tail — half a line
   written when the power went — degrades to "the run ended one record
@@ -158,18 +167,25 @@ class ReplayState:
 
 
 class RunJournal:
-    """Append-only, fsync-on-append journal of one run."""
+    """Append-only journal of one run.
+
+    Every append is flushed; every append but a ``sync=False`` one is
+    also fsynced, and a synced record makes every earlier record
+    durable.  ``close()`` fsyncs whatever unsynced records are pending.
+    """
 
     def __init__(self, path: Path, *, records: list[dict],
                  handle) -> None:
         self.path = path
         self.records = records
         self._handle = handle
-        #: Called as ``observer(record)`` after each durable append —
-        #: the record is already fsync'd when the observer sees it, so
-        #: an observer that raises (the serve layer's drain signal)
-        #: leaves the journal resumable.
+        #: Called as ``observer(record)`` after each append — the
+        #: record is already flushed (and fsync'd, unless appended with
+        #: ``sync=False``) when the observer sees it, so an observer
+        #: that raises (the serve layer's drain signal) leaves the
+        #: journal resumable; ``close()`` syncs what is pending.
         self.observer = None
+        self._unsynced = False
         self._seq = max(
             (record.get("seq", -1) for record in records
              if isinstance(record.get("seq"), int)),
@@ -227,8 +243,14 @@ class RunJournal:
     def replay(self) -> ReplayState:
         return ReplayState.from_records(self.records)
 
-    def append(self, record: dict) -> dict:
-        """Durably append one record (``seq`` is assigned here)."""
+    def append(self, record: dict, *, sync: bool = True) -> dict:
+        """Append one record (``seq`` is assigned here).
+
+        The line is flushed, so it survives the process dying.  With
+        ``sync`` the file is also fsynced, so it and every earlier
+        record survive power loss; ``sync=False`` leaves that to the
+        next synced append or :meth:`close`.
+        """
         if self._handle is None:
             raise RunJournalError(
                 f"journal {self.path} is closed; cannot append"
@@ -237,17 +259,25 @@ class RunJournal:
         self._seq += 1
         self._handle.write(_encode(record).encode())
         self._handle.flush()
-        os.fsync(self._handle.fileno())
+        if sync:
+            os.fsync(self._handle.fileno())
+        self._unsynced = not sync
         self.records.append(record)
         if self.observer is not None:
             self.observer(record)
         return record
 
     def close(self) -> None:
-        """Release the file handle (idempotent)."""
+        """Fsync any unsynced records and release the file handle
+        (idempotent)."""
         if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+            handle, self._handle = self._handle, None
+            try:
+                if self._unsynced:
+                    os.fsync(handle.fileno())
+                    self._unsynced = False
+            finally:
+                handle.close()
 
     def __enter__(self) -> "RunJournal":
         return self

@@ -13,8 +13,10 @@ after every durable append — ``shard-skip`` records become
 ``shard_done result=recomputed``.  Both observers double as drain
 checkpoints: once :meth:`StudyService.drain` is called, the next
 checkpoint of every inflight request raises :class:`ServeShutdown`,
-which unwinds *after* the journal's fsynced append — so an interrupted
-run is exactly as resumable as a Ctrl-C'd CLI run.
+which unwinds *after* the journal's append — a durable boundary: the
+record is flushed, and fsynced unless it is a ``shard-skip``, which
+the journal's close fsyncs on the way out — so an interrupted run is
+exactly as resumable as a Ctrl-C'd CLI run.
 """
 
 from __future__ import annotations

@@ -11,10 +11,13 @@ suite.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import digest
 from repro.analysis.digest import (
     DigestPart,
     fold_study_digest,
@@ -135,3 +138,50 @@ class TestMergeErrors:
         b = DigestPart({"d": (b"header-two", {})})
         with pytest.raises(ValueError, match="identity"):
             merge_digest_parts([a, b])
+
+
+class TestChunkRendering:
+    """Each classification object is rendered once per digest.
+
+    The overlap datasets hold the very classification objects of the
+    datasets they subset; their chunks are reused, never re-rendered,
+    while every digest still renders what the study holds now (no
+    chunk outlives the call that made it).
+    """
+
+    @staticmethod
+    def _count_chunks(monkeypatch) -> list:
+        calls = []
+        render = digest._site_chunk
+
+        def counted(classification):
+            calls.append(classification)
+            return render(classification)
+
+        monkeypatch.setattr(digest, "_site_chunk", counted)
+        return calls
+
+    def test_one_render_per_distinct_object(self, small_study, monkeypatch):
+        calls = self._count_chunks(monkeypatch)
+        digest.study_digest(small_study)
+        held = [
+            classification
+            for dataset in small_study.datasets.values()
+            for classification in dataset.classifications.values()
+        ]
+        assert len(held) == 605
+        assert len(calls) == len({id(item) for item in held}) == 513
+        digest.study_digest(small_study)
+        assert len(calls) == 2 * 513
+
+    def test_golden_digest_holds(self, golden_study, monkeypatch):
+        calls = self._count_chunks(monkeypatch)
+        pinned = (
+            Path(__file__).resolve().parent.parent / "golden" / "digest.txt"
+        ).read_text().strip()
+        assert digest.study_digest(golden_study) == pinned
+        assert len(calls) == len({
+            id(classification)
+            for dataset in golden_study.datasets.values()
+            for classification in dataset.classifications.values()
+        })

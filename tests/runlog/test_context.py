@@ -9,6 +9,7 @@ actually lost.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
@@ -20,7 +21,7 @@ from repro.analysis.digest import study_digest
 from repro.analysis.report import generate_report
 from repro.analysis.study import Study, StudyConfig
 from repro.crawl import httparchive
-from repro.runlog import WorkerCrashError, load_records, run_id
+from repro.runlog import RunContext, WorkerCrashError, load_records, run_id
 from repro.store import StudyCache
 
 GOLDEN_DIGEST = (
@@ -198,6 +199,90 @@ class TestWorkerCrashRecovery:
                 _config(fault_profile="worker-crash"),
                 cache=StudyCache(tmp_path), strict=True,
             )
+
+
+class _Drain(Exception):
+    """What an observer raises to stop a run, like serve's drain."""
+
+
+def _drain_on(event: str, nth: int = 1):
+    """An observer that raises on the ``nth`` record of ``event``."""
+    seen = []
+
+    def observer(record: dict) -> None:
+        if record["event"] == event:
+            seen.append(record)
+            if len(seen) == nth:
+                raise _Drain(event)
+
+    return observer
+
+
+def _count_fsyncs(monkeypatch) -> list:
+    calls = []
+    real = os.fsync
+
+    def counted(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr("repro.runlog.journal.os.fsync", counted)
+    return calls
+
+
+@pytest.mark.slow
+class TestJournalSync:
+    """Only ``shard-skip`` records go unsynced until the next synced
+    record or the journal's close."""
+
+    def test_fsyncs_per_study(self, tmp_path, monkeypatch):
+        # 200 sites in 8 shards: 8 stages (3 crawls, 5 classified
+        # datasets) of 8 shards each.  Cold: run-start, 64 shard-start,
+        # 64 shard-finish, run-finish.  Warm: run-start and run-finish;
+        # the 64 shard-skip records ride on run-finish's fsync.
+        config = StudyConfig(seed=7, n_sites=200, dns_study_days=0.25,
+                             shards=8)
+        cache = StudyCache(tmp_path)
+        calls = _count_fsyncs(monkeypatch)
+        Study.run(config, cache=cache)
+        assert len(calls) == 130
+        calls.clear()
+        Study.run(config, cache=cache)
+        assert len(calls) == 2
+        assert _journal_events(cache, config).count("shard-skip") == 64
+
+    def test_drain_on_a_skip_resumes_to_the_uninterrupted_digest(
+        self, tmp_path, monkeypatch
+    ):
+        config = _config()
+        cache = StudyCache(tmp_path)
+        calls = _count_fsyncs(monkeypatch)
+
+        def drained_run(observer) -> int:
+            """Run until ``observer`` drains; the fsyncs made before
+            the journal closed."""
+            runlog = RunContext.for_study(
+                config, cache, resume=True, observer=observer
+            )
+            try:
+                with pytest.raises(_Drain):
+                    Study.run(config, cache=cache, runlog=runlog)
+                return len(calls)
+            finally:
+                runlog.close()
+
+        # A cold run stops after two shards finish, so the next run
+        # finds part of its work cached and stops on its first skip.
+        drained_run(_drain_on("shard-finish", nth=2))
+        calls.clear()
+        assert drained_run(_drain_on("shard-skip")) == 0
+        # The resumed journal keeps its run-start; close() fsyncs the
+        # one pending record, the skip the drain stopped on.
+        assert len(calls) == 1
+        assert _journal_records(cache, config)[-1]["event"] == "shard-skip"
+        study = Study.run(config, cache=cache, resume=True)
+        assert study_digest(study) == GOLDEN_DIGEST
+        assert study.coverage.complete
 
 
 @pytest.mark.slow

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -39,8 +40,9 @@ class TestRoundTrip:
         assert [record["seq"] for record in records] == [0, 1, 2, 3]
 
     def test_append_survives_without_close(self, tmp_path):
-        # fsync-on-append: the record is durable the moment append
-        # returns, no close/flush required (the crash-safety contract).
+        # flush-on-append: the record is in the file the moment append
+        # returns, so it survives the process dying with no close (the
+        # crash-safety contract); a synced append is fsynced too.
         journal = _fresh(tmp_path, n=2)
         records = load_records(tmp_path / "j.jsonl")
         journal.close()
@@ -55,6 +57,57 @@ class TestRoundTrip:
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert load_records(tmp_path / "nope.jsonl") == []
+
+
+class TestSync:
+    """Synced appends fsync; ``sync=False`` appends wait for the next
+    synced append or ``close()``."""
+
+    @staticmethod
+    def _count_fsyncs(monkeypatch) -> list:
+        calls = []
+        real = os.fsync
+
+        def counted(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr("repro.runlog.journal.os.fsync", counted)
+        return calls
+
+    def test_unsynced_record_is_loadable_before_close(self, tmp_path,
+                                                      monkeypatch):
+        calls = self._count_fsyncs(monkeypatch)
+        journal = _fresh(tmp_path)
+        journal.append({"event": "shard-skip", "key": "k"}, sync=False)
+        records = load_records(tmp_path / "j.jsonl")
+        assert [record["event"] for record in records] == [
+            "run-start", "shard-skip"
+        ]
+        assert len(calls) == 1  # run-start only
+        journal.close()
+
+    def test_close_fsyncs_pending_records(self, tmp_path, monkeypatch):
+        calls = self._count_fsyncs(monkeypatch)
+        journal = _fresh(tmp_path)
+        for index in range(3):
+            journal.append({"event": "shard-skip", "key": f"k{index}"},
+                           sync=False)
+        assert len(calls) == 1
+        journal.close()
+        assert len(calls) == 2
+        journal.close()  # idempotent, nothing left to sync
+        assert len(calls) == 2
+
+    def test_synced_append_covers_earlier_records(self, tmp_path,
+                                                  monkeypatch):
+        calls = self._count_fsyncs(monkeypatch)
+        journal = _fresh(tmp_path)
+        journal.append({"event": "shard-skip", "key": "k"}, sync=False)
+        journal.append({"event": "run-finish", "status": "complete"})
+        assert len(calls) == 2
+        journal.close()  # nothing pending: no third fsync
+        assert len(calls) == 2
 
 
 class TestTornTail:
