@@ -1,18 +1,14 @@
-"""Exporters: tables and figures as Markdown / CSV.
+"""Exporter: tables as Markdown.
 
-The text renderers target terminals; these exporters target documents
-and downstream tooling (spreadsheets, plotting scripts).
+The text renderers target terminals; this exporter targets documents
+(``repro report`` writes its tables through it).
 """
 
 from __future__ import annotations
 
-import csv
-import io
-
-from repro.analysis.figures import Figure2Result
 from repro.analysis.tables import TableResult
 
-__all__ = ["table_to_markdown", "table_to_csv", "figure2_to_csv"]
+__all__ = ["table_to_markdown"]
 
 
 def table_to_markdown(table: TableResult) -> str:
@@ -25,23 +21,3 @@ def table_to_markdown(table: TableResult) -> str:
     lines.append("|" + "|".join("---" for _ in table.header) + "|")
     lines.extend(row(cells) for cells in table.rows)
     return "\n".join(lines)
-
-
-def table_to_csv(table: TableResult) -> str:
-    """Render a :class:`TableResult` as CSV (header + rows)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(table.header)
-    writer.writerows(table.rows)
-    return buffer.getvalue()
-
-
-def figure2_to_csv(figure: Figure2Result) -> str:
-    """Figure 2 series as long-format CSV: dataset,x,share."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["dataset", "redundant_connections", "share_at_least"])
-    for dataset, points in figure.series.items():
-        for x, share in points:
-            writer.writerow([dataset, x, f"{share:.6f}"])
-    return buffer.getvalue()

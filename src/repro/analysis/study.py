@@ -41,7 +41,6 @@ from repro.runtime import (
     StageTimings,
     ecosystem_for,
     make_executor,
-    null_timings,
     world_index_for,
     world_index_is_cached,
 )
@@ -147,11 +146,21 @@ class StudyConfig:
         )
 
     def validate(self) -> None:
-        """Reject bad executor specs, lifetime models and Alexa variants.
+        """Reject bad sizes, executor specs, lifetime models and variants.
 
         Everything a sweep axis can set is checked here, so grid cells
         fail fast (and CLI-cleanly) before any study work starts.
         """
+        if not self.n_sites >= 1:
+            raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
+        for name in ("alexa_share", "ha_sample_share"):
+            share = getattr(self, name)
+            if not 0 < share <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {share}")
+        if not self.dns_study_days >= 0:
+            raise ValueError(
+                f"dns_study_days must be >= 0, got {self.dns_study_days}"
+            )
         parse_executor_spec(self.executor, self.parallelism)
         for model in self.har_models:
             LifetimeModel(model)  # raises ValueError on unknown names
@@ -219,7 +228,7 @@ class Study:
     alexa_nofetch_run: AlexaRun | None
     alexa_common_sites: list[str]
     datasets: dict[str, ClassifiedDataset]
-    timings: StageTimings = field(default_factory=null_timings)
+    timings: StageTimings = field(default_factory=StageTimings)
     #: Shard coverage of the run (see :mod:`repro.runlog`): ``None``
     #: for cacheless runs, else complete-or-partial accounting that the
     #: digest and every report fold in when shards were quarantined.
@@ -233,9 +242,9 @@ class Study:
         executor: Executor | None = None,
         timings: StageTimings | None = None,
         cache: StudyCache | None = None,
-        runlog: RunContext | None = None,
         resume: bool = False,
         strict: bool = False,
+        observer: Callable[[dict], None] | None = None,
     ) -> "Study":
         """Execute the full pipeline for ``config``.
 
@@ -249,20 +258,21 @@ class Study:
         (crash-safe, retrying, quarantining; see :mod:`repro.runlog`);
         ``resume`` replays a prior interrupted journal and skips its
         finished shards, ``strict`` restores fail-fast on the first
-        shard failure.  Pass an explicit ``runlog`` to share one
-        context; the caller then owns its ``finish()``/``close()``.
+        shard failure, and ``observer`` sees every journal record after
+        its append.  A run that raises leaves its journal without a
+        ``run-finish`` record, so it stays resumable.
         """
         config = config or StudyConfig()
         config.validate()
-        if resume and cache is None:
-            raise ValueError("resume requires a cache to journal into")
+        if cache is None and (resume or observer is not None):
+            raise ValueError("resume and observer require a cache to journal into")
         owns_executor = executor is None
         executor = executor if executor is not None else config.make_executor()
-        timings = timings if timings is not None else null_timings()
-        owns_runlog = runlog is None and cache is not None
-        if owns_runlog:
+        timings = timings if timings is not None else StageTimings()
+        runlog = None
+        if cache is not None:
             runlog = RunContext.for_study(
-                config, cache, resume=resume, strict=strict
+                config, cache, resume=resume, strict=strict, observer=observer
             )
         try:
             with collector_paused():
@@ -271,12 +281,10 @@ class Study:
                     runlog or RunContext.null(),
                 )
             if runlog is not None:
-                study.coverage = (
-                    runlog.finish() if owns_runlog else runlog.coverage()
-                )
+                study.coverage = runlog.finish()
             return study
         finally:
-            if owns_runlog and runlog is not None:
+            if runlog is not None:
                 runlog.close()
             if owns_executor:
                 executor.close()

@@ -1,7 +1,6 @@
 """Chromium-like browser model: fetch logic, session pool, page loader."""
 
 from repro.browser.browser import BrowserConfig, ChromiumBrowser, Visit
-from repro.browser.cookies import CookieJar
 from repro.browser.fetch import FetchDecision, decide_credentials, is_same_origin
 from repro.browser.loader import LoadedRequest, PageLoader, PageLoadResult
 from repro.browser.pool import ConnectionPool, PoolDecision, SessionKey
@@ -10,7 +9,6 @@ __all__ = [
     "BrowserConfig",
     "ChromiumBrowser",
     "Visit",
-    "CookieJar",
     "FetchDecision",
     "decide_credentials",
     "is_same_origin",

@@ -2,7 +2,7 @@
 
 One :class:`ChromiumBrowser` models the paper's measurement browser:
 QUIC disabled, field trials disabled (everything deterministic from the
-seed), caches and cookies reset per visit, NetLog recording on.  The
+seed), a fresh pool and loader per visit, NetLog recording on.  The
 ``ignore_privacy_mode`` option is the paper's Chromium patch for the
 "Alexa w/o Fetch" run (§5.3.3); ``honor_origin_frame`` is the RFC 8336
 ablation Chromium itself does not implement [17].
@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.browser.cookies import CookieJar
 from repro.browser.loader import PageLoader, PageLoadResult
 from repro.browser.pool import ConnectionPool
 from repro.dns.resolver import RecursiveResolver
@@ -95,7 +94,7 @@ class ChromiumBrowser:
     faults: "FaultPlan | None" = None
 
     def visit(self, url_or_domain: str) -> Visit:
-        """Visit a page; caches/cookies are per-visit.
+        """Visit a page through a fresh pool and loader.
 
         Accepts a bare domain (landing page) or a URL/path such as
         ``site.com/page/1`` to visit an internal page.
@@ -157,7 +156,6 @@ class ChromiumBrowser:
             resolver=self.resolver,
             clock=self.clock,
             rng=random.Random(self.rng.random()),
-            cookies=CookieJar(),
             netlog=netlog,
             geo_rewrites=self.ecosystem.geo_rewrites(self.config.vantage_country),
             faults=self.faults,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.domains import normalize, registrable_domain
+from repro.util.domains import normalize
 from repro.web.resources import RequestMode
 
 __all__ = ["FetchDecision", "decide_credentials", "is_same_origin"]
@@ -62,12 +62,3 @@ def decide_credentials(
         same_origin = is_same_origin(request_domain, document_domain)
         return FetchDecision(include_credentials=same_origin)
     raise ValueError(f"unhandled request mode: {mode!r}")
-
-
-def same_site(domain_a: str, domain_b: str) -> bool:
-    """Registrable-domain ("site") equality, used by the cookie jar."""
-    site_a = registrable_domain(domain_a)
-    site_b = registrable_domain(domain_b)
-    if site_a is None or site_b is None:
-        return normalize(domain_a) == normalize(domain_b)
-    return site_a == site_b

@@ -22,7 +22,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.browser.cookies import CookieJar
 from repro.browser.fetch import decide_credentials
 from repro.browser.pool import ConnectionPool, PoolDecision
 from repro.dns.resolver import DnsTimeout, RecursiveResolver, ServFail
@@ -92,7 +91,6 @@ class PageLoader:
     resolver: RecursiveResolver
     clock: SimClock
     rng: random.Random
-    cookies: CookieJar = field(default_factory=CookieJar)
     netlog: NetLog | None = None
     geo_rewrites: dict[str, str] = field(default_factory=dict)
     #: Per-request latency bounds in seconds (uniformly sampled).
@@ -329,7 +327,6 @@ class PageLoader:
             if record.status >= 500:
                 result.server_errors += 1
 
-        self._store_cookies(record)
         if pool_decision.h3_upgraded and not retried:
             result.h3_upgrades += 1
         loaded = LoadedRequest(
@@ -345,7 +342,3 @@ class PageLoader:
             # failed: its children never execute.
             return None
         return loaded
-
-    def _store_cookies(self, record: RequestRecord) -> None:
-        if record.with_credentials and record.status == 200:
-            self.cookies.set_cookie(record.domain, "sid", str(record.stream_id))

@@ -118,9 +118,6 @@ class ConnectionPool:
             return True
         return session.privacy_mode == privacy_mode
 
-    def live_sessions(self) -> list[Http2Connection]:
-        return [session for session in self.sessions if session.is_open]
-
     # ------------------------------------------------------------------
     def get_connection(
         self,

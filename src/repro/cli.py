@@ -155,13 +155,10 @@ def _setup(args, **overrides):
 def _study_from_args(args):
     """Run the full study as configured by the common CLI flags."""
     from repro.analysis.study import Study
-    from repro.runtime import StageTimings, null_timings
+    from repro.runtime import StageTimings
 
     config, executor, cache = _setup(args)
-    timings = (
-        StageTimings(memory=True) if getattr(args, "profile", False)
-        else null_timings()
-    )
+    timings = StageTimings(memory=getattr(args, "profile", False))
     with executor:
         study = Study.run(
             config, executor=executor, timings=timings, cache=cache,

@@ -71,14 +71,6 @@ class SiteClassification:
         self.__dict__ = state
 
     @property
-    def redundant_records(self) -> list[SessionRecord]:
-        """Connections with at least one cause, in establishment order."""
-        seen: dict[int, SessionRecord] = {}
-        for hit in self.hits:
-            seen.setdefault(hit.record.connection_id, hit.record)
-        return sorted(seen.values(), key=lambda record: record.start)
-
-    @property
     def redundant_count(self) -> int:
         return len({hit.record.connection_id for hit in self.hits})
 
@@ -87,9 +79,6 @@ class SiteClassification:
         return len(
             {hit.record.connection_id for hit in self.hits if hit.cause is cause}
         )
-
-    def has_cause(self, cause: Cause) -> bool:
-        return any(hit.cause is cause for hit in self.hits)
 
     def hits_for(self, cause: Cause) -> list[CauseHit]:
         return [hit for hit in self.hits if hit.cause is cause]

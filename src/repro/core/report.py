@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.core.causes import Cause
 from repro.core.classifier import SiteClassification
-from repro.util.formatting import pct, si_count
 
 __all__ = ["CauseCounts", "CorpusReport"]
 
@@ -97,37 +96,3 @@ class CorpusReport:
         if self.h2_sites == 0:
             return 0.0
         return self.redundant_sites / self.h2_sites
-
-    def table_rows(self) -> list[list[str]]:
-        """Rows in the layout of the paper's Table 1 (one dataset)."""
-        rows = []
-        for cause in (Cause.CERT, Cause.IP, Cause.CRED):
-            counts = self.by_cause[cause]
-            rows.append(
-                [
-                    cause.value,
-                    si_count(counts.sites),
-                    si_count(counts.connections),
-                    pct(counts.sites, self.h2_sites),
-                    pct(counts.connections, self.h2_connections),
-                ]
-            )
-        rows.append(
-            [
-                "Redund.",
-                si_count(self.redundant_sites),
-                si_count(self.redundant_connections),
-                pct(self.redundant_sites, self.h2_sites),
-                pct(self.redundant_connections, self.h2_connections),
-            ]
-        )
-        rows.append(
-            [
-                "Total",
-                si_count(self.h2_sites),
-                si_count(self.h2_connections),
-                "100 %",
-                "100 %",
-            ]
-        )
-        return rows

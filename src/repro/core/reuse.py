@@ -3,8 +3,12 @@
 "Requests for domain D may be sent over an existing connection A if D
 resolves to the same destination IP that A is using (+ matching ports)
 and if A's TLS certificate includes D" (§2.2.2).  This module states the
-rule once so the classifier, the browser pool tests and the mitigation
-ablations all agree on what *should* have been reusable.
+rule as a library predicate: :func:`could_reuse` answers it and
+:func:`reuse_blockers` names the conditions that fail (the
+``audit_single_site`` example prints them).  The classifier does not
+call it: ``classify_site`` tests the IP/port and SAN halves of the rule
+separately, because it needs each half on its own to attribute a
+connection to CERT or IP.
 
 HTTP/3 applies the same authority rule (RFC 9114 §3.3 inherits the
 coalescing conditions), but a request can only ride a connection of the

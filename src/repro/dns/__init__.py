@@ -7,7 +7,7 @@ from repro.dns.loadbalancer import (
     StaticPolicy,
 )
 from repro.dns.errors import DnsError
-from repro.dns.records import DEFAULT_TTL, Answer, RecordType
+from repro.dns.records import DEFAULT_TTL, Answer
 from repro.dns.resolver import (
     DnsTimeout,
     RecursiveResolver,
@@ -27,7 +27,6 @@ __all__ = [
     "StaticPolicy",
     "DEFAULT_TTL",
     "Answer",
-    "RecordType",
     "RecursiveResolver",
     "ResolverInfo",
     "default_fleet",

@@ -10,23 +10,15 @@ finding (the other is the authoritative rotation itself).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.util.domains import is_valid_hostname, normalize
 
-__all__ = ["RecordType", "Answer", "DEFAULT_TTL"]
+__all__ = ["Answer", "DEFAULT_TTL"]
 
 #: Default TTL for synthetic records (seconds).  Short, as is typical for
 #: load-balanced CDN names.
 DEFAULT_TTL = 300
-
-
-class RecordType(enum.Enum):
-    """Supported DNS record types."""
-
-    A = "A"
-    CNAME = "CNAME"
 
 
 @dataclass(frozen=True)
@@ -50,11 +42,6 @@ class Answer:
             raise ValueError(f"invalid hostname in answer: {self.name!r}")
         if self.ttl < 0:
             raise ValueError(f"negative TTL: {self.ttl}")
-
-    @property
-    def canonical_name(self) -> str:
-        """The final name after following all CNAMEs."""
-        return self.cname_chain[-1] if self.cname_chain else self.name
 
     @property
     def primary_ip(self) -> str:

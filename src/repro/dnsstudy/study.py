@@ -94,14 +94,6 @@ class DnsStudyResult:
     resolver_count: int
     interval_s: float
 
-    def by_classification(self) -> dict[str, list[PairTimeline]]:
-        out: dict[str, list[PairTimeline]] = {
-            "never": [], "sometimes": [], "always": []
-        }
-        for timeline in self.timelines:
-            out[timeline.classification()].append(timeline)
-        return out
-
 
 @dataclass
 class DnsLoadBalancingStudy:

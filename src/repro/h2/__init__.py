@@ -9,7 +9,7 @@ from repro.h2.connection import (
 )
 from repro.h2.errors import H2Error
 from repro.h2.hpack import STATIC_TABLE, HpackDecoder, HpackEncoder, HpackError
-from repro.h2.settings import Http2Settings, SettingId
+from repro.h2.settings import Http2Settings
 from repro.h2.stream import Http2Stream, StreamError, StreamResetError, StreamState
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "HpackEncoder",
     "HpackError",
     "Http2Settings",
-    "SettingId",
     "Http2Stream",
     "StreamError",
     "StreamResetError",

@@ -123,7 +123,6 @@ class Http2Connection:
                 f"connection IP {self.remote_ip} does not match server {self.server.ip}"
             )
         self._open_streams = 0
-        self._last_activity = self.created_at
         # RFC 8336: the server may advertise additional origins at
         # session start; whether the client *uses* them is browser policy.
         self.origin_set.update(self.server.advertised_origins())
@@ -264,10 +263,7 @@ class Http2Connection:
         )
         finished = now + service_time
         stream.receive_response(status, response_headers, now=finished)
-        if stream.is_closed:
-            self._open_streams -= 1
-        if finished > self._last_activity:
-            self._last_activity = finished
+        self._open_streams -= 1
 
         if status == HTTP_MISDIRECTED_REQUEST:
             # The server refuses to answer for this origin on this
@@ -288,13 +284,6 @@ class Http2Connection:
         )
         self.requests.append(record)
         return record
-
-    # ------------------------------------------------------------------
-    # Introspection used by the classifier / reports
-    # ------------------------------------------------------------------
-    def last_activity(self) -> float:
-        """Timestamp of the most recent request completion (or creation)."""
-        return self._last_activity
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

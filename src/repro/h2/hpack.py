@@ -325,13 +325,6 @@ class HpackEncoder:
         self.bytes_emitted += len(out)
         return bytes(out)
 
-    @property
-    def compression_ratio(self) -> float:
-        """Emitted / uncompressed bytes over the encoder's lifetime."""
-        if self.bytes_uncompressed == 0:
-            return 1.0
-        return self.bytes_emitted / self.bytes_uncompressed
-
 
 class HpackDecoder:
     """Stateful header-block decoder for one connection direction."""

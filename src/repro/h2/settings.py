@@ -2,21 +2,9 @@
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-__all__ = ["SettingId", "Http2Settings"]
-
-
-class SettingId(enum.IntEnum):
-    """Registered SETTINGS identifiers."""
-
-    HEADER_TABLE_SIZE = 0x1
-    ENABLE_PUSH = 0x2
-    MAX_CONCURRENT_STREAMS = 0x3
-    INITIAL_WINDOW_SIZE = 0x4
-    MAX_FRAME_SIZE = 0x5
-    MAX_HEADER_LIST_SIZE = 0x6
+__all__ = ["Http2Settings"]
 
 
 @dataclass(frozen=True)
@@ -35,40 +23,3 @@ class Http2Settings:
             raise ValueError(f"illegal MAX_FRAME_SIZE: {self.max_frame_size}")
         if self.initial_window_size > 2**31 - 1:
             raise ValueError("INITIAL_WINDOW_SIZE overflows 31 bits")
-
-    def to_pairs(self) -> list[tuple[int, int]]:
-        """Encode into (identifier, value) pairs for a SETTINGS frame."""
-        pairs = [
-            (SettingId.HEADER_TABLE_SIZE, self.header_table_size),
-            (SettingId.ENABLE_PUSH, int(self.enable_push)),
-            (SettingId.INITIAL_WINDOW_SIZE, self.initial_window_size),
-            (SettingId.MAX_FRAME_SIZE, self.max_frame_size),
-        ]
-        if self.max_concurrent_streams is not None:
-            pairs.append(
-                (SettingId.MAX_CONCURRENT_STREAMS, self.max_concurrent_streams)
-            )
-        if self.max_header_list_size is not None:
-            pairs.append((SettingId.MAX_HEADER_LIST_SIZE, self.max_header_list_size))
-        return pairs
-
-    def apply_pairs(self, pairs: list[tuple[int, int]]) -> "Http2Settings":
-        """Return a copy updated with the pairs of a received SETTINGS."""
-        updates: dict[str, object] = {}
-        for identifier, value in pairs:
-            if identifier == SettingId.HEADER_TABLE_SIZE:
-                updates["header_table_size"] = value
-            elif identifier == SettingId.ENABLE_PUSH:
-                if value not in (0, 1):
-                    raise ValueError(f"ENABLE_PUSH must be 0/1, got {value}")
-                updates["enable_push"] = bool(value)
-            elif identifier == SettingId.MAX_CONCURRENT_STREAMS:
-                updates["max_concurrent_streams"] = value
-            elif identifier == SettingId.INITIAL_WINDOW_SIZE:
-                updates["initial_window_size"] = value
-            elif identifier == SettingId.MAX_FRAME_SIZE:
-                updates["max_frame_size"] = value
-            elif identifier == SettingId.MAX_HEADER_LIST_SIZE:
-                updates["max_header_list_size"] = value
-            # Unknown identifiers MUST be ignored (RFC 7540 §6.5.2).
-        return replace(self, **updates)

@@ -1,8 +1,10 @@
 """HTTP/2 stream state machine (RFC 7540 §5.1).
 
-Only the client-initiated request/response lifecycle is exercised by the
-reproduction, but the full state set is modelled so invalid transitions
-are caught early (they were the symptom of the 2016 Chromium bug that
+Only the client-initiated request/response lifecycle is modelled: the
+request and the response are each one HEADERS frame with END_STREAM,
+so a stream goes idle → half-closed (local) → closed, or closes on
+RST_STREAM from any state.  Invalid transitions raise, so they are
+caught early (they were the symptom of the 2016 Chromium bug that
 Manzoor et al. traced parallel connections to).
 """
 
@@ -32,9 +34,7 @@ class StreamResetError(StreamError):
 
 class StreamState(enum.Enum):
     IDLE = "idle"
-    OPEN = "open"
     HALF_CLOSED_LOCAL = "half-closed (local)"
-    HALF_CLOSED_REMOTE = "half-closed (remote)"
     CLOSED = "closed"
 
 
@@ -56,53 +56,22 @@ class Http2Stream:
                 f"client streams must have odd positive ids, got {self.stream_id}"
             )
 
-    def send_request(
-        self,
-        headers: list[tuple[str, str]],
-        *,
-        now: float,
-        end_stream: bool = True,
-    ) -> None:
-        """HEADERS out: idle → open (or half-closed local on END_STREAM)."""
+    def send_request(self, headers: list[tuple[str, str]], *, now: float) -> None:
+        """HEADERS with END_STREAM out: idle → half-closed (local)."""
         if self.state is not StreamState.IDLE:
             raise StreamError(f"cannot send request in state {self.state.value}")
         self.request_headers = list(headers)
         self.opened_at = now
-        self.state = (
-            StreamState.HALF_CLOSED_LOCAL if end_stream else StreamState.OPEN
-        )
-
-    def end_request(self) -> None:
-        """END_STREAM out after a request body: open → half-closed local."""
-        if self.state is not StreamState.OPEN:
-            raise StreamError(f"cannot end request in state {self.state.value}")
         self.state = StreamState.HALF_CLOSED_LOCAL
 
     def receive_response(
-        self,
-        status: int,
-        headers: list[tuple[str, str]],
-        *,
-        now: float,
-        end_stream: bool = True,
+        self, status: int, headers: list[tuple[str, str]], *, now: float
     ) -> None:
-        """HEADERS in, completing the exchange when END_STREAM is set."""
-        if self.state not in (StreamState.OPEN, StreamState.HALF_CLOSED_LOCAL):
+        """HEADERS with END_STREAM in: half-closed (local) → closed."""
+        if self.state is not StreamState.HALF_CLOSED_LOCAL:
             raise StreamError(f"cannot receive response in state {self.state.value}")
         self.response_status = status
         self.response_headers = list(headers)
-        if end_stream:
-            self._close(now)
-        elif self.state is StreamState.OPEN:
-            self.state = StreamState.HALF_CLOSED_REMOTE
-
-    def end_response(self, *, now: float) -> None:
-        """Final DATA with END_STREAM."""
-        if self.state not in (
-            StreamState.HALF_CLOSED_LOCAL,
-            StreamState.HALF_CLOSED_REMOTE,
-        ):
-            raise StreamError(f"cannot end response in state {self.state.value}")
         self._close(now)
 
     def reset(self, *, now: float) -> None:

@@ -84,96 +84,3 @@ class HarFile:
     entries: list[HarEntry] = field(default_factory=list)
     creator: str = "repro-harness"
     version: str = "1.2"
-
-    def to_dict(self) -> dict:
-        """Serialise to the standard nested-dict HAR layout."""
-        return {
-            "log": {
-                "version": self.version,
-                "creator": {"name": self.creator, "version": "1.0"},
-                "pages": [
-                    {
-                        "startedDateTime": self.page.started_date_time,
-                        "id": self.page.page_id,
-                        "title": self.page.title,
-                        "pageTimings": {"onLoad": self.page.on_load_ms},
-                    }
-                ],
-                "entries": [
-                    {
-                        "pageref": entry.pageref,
-                        "startedDateTime": entry.started_date_time,
-                        "time": entry.time_ms,
-                        "request": {
-                            "method": entry.method,
-                            "url": entry.url,
-                            "httpVersion": entry.http_version,
-                        },
-                        "response": {
-                            "status": entry.status,
-                            "httpVersion": entry.http_version,
-                            "bodySize": entry.body_size,
-                        },
-                        "serverIPAddress": entry.server_ip_address,
-                        "connection": entry.connection,
-                        "_requestId": entry.request_id,
-                        "_withCredentials": entry.with_credentials,
-                        "_securityDetails": (
-                            {
-                                "subjectName": entry.security.subject_name,
-                                "sanList": list(entry.security.san_list),
-                                "issuer": entry.security.issuer,
-                                "valid": entry.security.valid,
-                            }
-                            if entry.security is not None
-                            else None
-                        ),
-                    }
-                    for entry in self.entries
-                ],
-            }
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HarFile":
-        """Parse the nested-dict layout back into objects."""
-        log = data["log"]
-        pages = log.get("pages") or []
-        if not pages:
-            raise ValueError("HAR file has no pages")
-        raw_page = pages[0]
-        page = HarPage(
-            page_id=raw_page["id"],
-            started_date_time=raw_page["startedDateTime"],
-            title=raw_page.get("title", ""),
-            on_load_ms=raw_page.get("pageTimings", {}).get("onLoad", 0.0),
-        )
-        entries = []
-        for raw in log.get("entries", []):
-            raw_security = raw.get("_securityDetails")
-            security = None
-            if raw_security is not None:
-                security = HarSecurityDetails(
-                    subject_name=raw_security.get("subjectName", ""),
-                    san_list=tuple(raw_security.get("sanList", ())),
-                    issuer=raw_security.get("issuer", ""),
-                    valid=raw_security.get("valid", True),
-                )
-            entries.append(
-                HarEntry(
-                    pageref=raw.get("pageref", ""),
-                    started_date_time=raw["startedDateTime"],
-                    time_ms=raw.get("time", 0.0),
-                    method=raw["request"]["method"],
-                    url=raw["request"]["url"],
-                    http_version=raw["request"].get("httpVersion", ""),
-                    status=raw["response"].get("status", 0),
-                    body_size=raw["response"].get("bodySize", 0),
-                    server_ip_address=raw.get("serverIPAddress"),
-                    connection=raw.get("connection"),
-                    request_id=raw.get("_requestId"),
-                    with_credentials=raw.get("_withCredentials", False),
-                    security=security,
-                )
-            )
-        return cls(page=page, entries=entries)

@@ -15,14 +15,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass, field
 
-__all__ = ["Prefix", "PrefixAllocator", "same_slash24"]
-
-
-def same_slash24(ip_a: str, ip_b: str) -> bool:
-    """True when both addresses share their first three octets."""
-    a = ipaddress.IPv4Address(ip_a)
-    b = ipaddress.IPv4Address(ip_b)
-    return int(a) >> 8 == int(b) >> 8
+__all__ = ["Prefix", "PrefixAllocator"]
 
 
 @dataclass(frozen=True)

@@ -40,14 +40,13 @@ from repro.runlog.journal import (
     load_records,
     run_id,
 )
-from repro.runlog.retry import RetryPolicy, classify_failure, retry_map
+from repro.runlog.retry import classify_failure, retry_map
 
 __all__ = [
     "RUNLOG_SCHEMA",
     "JournalSchemaError",
     "PoisonShardError",
     "ReplayState",
-    "RetryPolicy",
     "RunContext",
     "RunCoverage",
     "RunJournal",

@@ -1,6 +1,6 @@
 """The per-run orchestration object threaded through the pipeline.
 
-A :class:`RunContext` owns one run's journal, retry policy and
+A :class:`RunContext` owns one run's journal, retry budget and
 quarantine bookkeeping.  Its one per-shard caller is the shard-stage
 driver, :func:`repro.crawl.shards.run_sharded_stage`, which runs both
 crawls (journal stages ``har-crawl``, ``alexa-fetch``,
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from repro.runlog.errors import PoisonShardError
 from repro.runlog.journal import RunJournal, journal_dir, run_id
-from repro.runlog.retry import RetryPolicy, retry_map
+from repro.runlog.retry import retry_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crawl.shards import CrawlShard
@@ -87,7 +87,6 @@ class RunContext:
         journal: RunJournal,
         *,
         run: str,
-        policy: RetryPolicy | None = None,
         strict: bool = False,
         seed: int = 0,
         fault_profile: str = "none",
@@ -95,9 +94,9 @@ class RunContext:
         self.journal = journal
         self.run = run
         self.strict = strict
-        self.policy = policy if policy is not None else (
-            RetryPolicy(max_attempts=1) if strict else RetryPolicy()
-        )
+        #: Tries per shard item, the whole-chunk one included: strict
+        #: runs stop at the first failure, others retry twice.
+        self.max_attempts = 1 if strict else 3
         self.seed = seed
         self.fault_profile = fault_profile
         self.replay = journal.replay
@@ -121,7 +120,6 @@ class RunContext:
         *,
         resume: bool = False,
         strict: bool = False,
-        policy: RetryPolicy | None = None,
         observer: Callable[[dict], None] | None = None,
     ) -> "RunContext":
         """The context of one :class:`StudyConfig` against one cache.
@@ -148,7 +146,7 @@ class RunContext:
         if observer is not None:
             journal.observer = observer
         return cls(
-            journal, run=run, policy=policy, strict=strict,
+            journal, run=run, strict=strict,
             seed=config.seed, fault_profile=config.fault_profile,
         )
 
@@ -193,7 +191,7 @@ class RunContext:
 
         try:
             return retry_map(
-                executor, fn, tasks, policy=self.policy, stage=stage,
+                executor, fn, tasks, max_attempts=self.max_attempts, stage=stage,
                 domains=shard.domains, reattempt=reattempt,
                 on_event=on_event,
             )

@@ -17,16 +17,13 @@ its attempt budget, the whole map raises :class:`PoisonShardError`;
 the run context catches that and quarantines the shard instead of
 aborting the study.
 
-Backoff is deterministic: attempt ``n`` sleeps ``backoff_base * n``
-seconds (default 0 — simulated infrastructure does not get less broken
-by waiting, and the test suite must not either).
+Retries do not wait: simulated infrastructure does not get less broken
+by waiting, and the test suite must not either.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from repro.runlog.errors import PoisonShardError
@@ -34,7 +31,7 @@ from repro.runlog.errors import PoisonShardError
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["RetryPolicy", "classify_failure", "retry_map"]
+__all__ = ["classify_failure", "retry_map"]
 
 #: Exception types that mean "the code is wrong, not the weather":
 #: retrying them reproduces the same failure with interest.
@@ -59,37 +56,12 @@ def classify_failure(error: BaseException) -> str:
     return "transient"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many times a shard's work may fail before quarantine."""
-
-    #: Total attempts per item, the initial whole-chunk try included.
-    max_attempts: int = 3
-    #: Deterministic backoff factor: attempt ``n`` sleeps ``base * n``
-    #: seconds before running.  0 disables sleeping entirely.
-    backoff_base: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_base < 0.0:
-            raise ValueError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-
-    def backoff_s(self, attempt: int) -> float:
-        """Seconds to wait before retry ``attempt`` (1-based)."""
-        return self.backoff_base * attempt
-
-
 def retry_map(
     executor,
     fn: Callable[[T], R],
     items: Sequence[T],
     *,
-    policy: RetryPolicy,
+    max_attempts: int,
     stage: str,
     domains: tuple[str, ...] = (),
     reattempt: Callable[[T, int], T] | None = None,
@@ -97,13 +69,15 @@ def retry_map(
 ) -> list[R]:
     """``executor.map_sites(fn, items)`` with retry and poison detection.
 
-    ``reattempt(item, n)`` rewrites an item for retry attempt ``n``
-    (the crawl tasks bump their ``attempt`` counter so the injected
-    ``worker-crash`` fault can be attempt-bounded); ``on_event`` sees
-    every failure as ``(kind, detail)`` for journal recording.
+    ``max_attempts`` counts every try of an item, the whole-chunk one
+    included.  ``reattempt(item, n)`` rewrites an item for retry
+    attempt ``n`` (the crawl tasks bump their ``attempt`` counter so
+    the injected ``worker-crash`` fault can be attempt-bounded);
+    ``on_event`` sees every failure as ``(kind, detail)`` for journal
+    recording.
 
-    Raises the original error when it classifies fatal (or when the
-    policy allows a single attempt — strict mode), and
+    Raises the original error when it classifies fatal (or when
+    ``max_attempts`` is 1 — strict mode), and
     :class:`PoisonShardError` when an item survives every attempt.
     """
     items = list(items)
@@ -122,7 +96,7 @@ def retry_map(
             "stage": stage, "error": type(error).__name__,
             "message": str(error), "classification": verdict,
         })
-        if verdict == "fatal" or policy.max_attempts <= 1:
+        if verdict == "fatal" or max_attempts <= 1:
             raise
 
     # The chunk failed for a transient reason: re-dispatch every item
@@ -134,10 +108,7 @@ def retry_map(
     for position, item in enumerate(items):
         last_error: BaseException | None = None
         recovered = False
-        for attempt in range(1, policy.max_attempts):
-            delay = policy.backoff_s(attempt)
-            if delay > 0.0:
-                time.sleep(delay)
+        for attempt in range(1, max_attempts):
             retry_item = (
                 reattempt(item, attempt) if reattempt is not None else item
             )
@@ -156,7 +127,5 @@ def retry_map(
                     raise
                 last_error = error
         if not recovered:
-            raise PoisonShardError(
-                stage, domains, policy.max_attempts
-            ) from last_error
+            raise PoisonShardError(stage, domains, max_attempts) from last_error
     return results

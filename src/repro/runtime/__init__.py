@@ -25,7 +25,7 @@ from repro.runtime.executor import (
     make_executor,
     shard_items,
 )
-from repro.runtime.profile import StageTimings, null_timings
+from repro.runtime.profile import StageTimings
 from repro.runtime.worker import (
     clear_ecosystem_cache,
     ecosystem_for,
@@ -45,7 +45,6 @@ __all__ = [
     "make_executor",
     "shard_items",
     "StageTimings",
-    "null_timings",
     "clear_ecosystem_cache",
     "ecosystem_for",
     "ecosystem_is_cached",

@@ -401,25 +401,19 @@ def parse_executor_spec(
 
 
 def make_executor(
-    spec: str | Executor | None = "serial",
+    spec: str = "serial",
     workers: int | None = None,
-    *, chunk_size: int | None = None, task_timeout: float | None = None,
+    *, task_timeout: float | None = None,
 ) -> Executor:
     """Build an executor from a spec string (see :func:`parse_executor_spec`).
 
-    An :class:`Executor` instance passes through unchanged; ``None``
-    means serial.  ``task_timeout`` arms the pool executors' no-progress
-    watchdog.  Serial runs ignore it (inline work cannot be watched from
-    the thread doing it), but a non-positive value is rejected for every
-    spec alike.
+    ``task_timeout`` arms the pool executors' no-progress watchdog.
+    Serial runs ignore it (inline work cannot be watched from the thread
+    doing it), but a non-positive value is rejected for every spec
+    alike.
     """
     _check_task_timeout(task_timeout)
-    if spec is None:
-        return SerialExecutor()
-    if isinstance(spec, Executor):
-        return spec
     cls, workers = parse_executor_spec(spec, workers)
     if cls is SerialExecutor:
         return SerialExecutor()
-    return cls(max_workers=workers, chunk_size=chunk_size,
-               task_timeout=task_timeout)
+    return cls(max_workers=workers, task_timeout=task_timeout)

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-__all__ = ["StageTiming", "StageTimings", "null_timings"]
+__all__ = ["StageTiming", "StageTimings"]
 
 
 @dataclass
@@ -47,16 +47,16 @@ class StageTimings:
     Python heap allocation via :mod:`tracemalloc`.  Tracing costs real
     time (allocation bookkeeping slows the interpreter noticeably), so
     it is off by default and wall-clock benchmarks must not enable it.
+    Wall-clock timing is always on: it costs a few ``perf_counter``
+    calls per stage.
     """
 
-    enabled: bool = True
     memory: bool = False
     stages: list[StageTiming] = field(default_factory=list)
     #: Called as ``observer(name, items)`` when a stage *starts* (before
-    #: any work runs), even when timing itself is disabled.  The serve
-    #: layer uses this to stream ``stage_start`` events; exceptions it
-    #: raises propagate, which is how a draining server aborts a run at
-    #: the next stage boundary.
+    #: any work runs).  The serve layer uses this to stream
+    #: ``stage_start`` events; exceptions it raises propagate, which is
+    #: how a draining server aborts a run at the next stage boundary.
     observer: Callable[[str, int | None], None] | None = field(
         default=None, repr=False, compare=False,
     )
@@ -68,12 +68,9 @@ class StageTimings:
 
     @contextmanager
     def stage(self, name: str, *, items: int | None = None) -> Iterator[None]:
-        """Time one stage; a no-op when disabled (observer still fires)."""
+        """Time one stage, after telling the observer it starts."""
         if self.observer is not None:
             self.observer(name, items)
-        if not self.enabled:
-            yield
-            return
         peak_kb: int | None = None
         owns_tracing = False
         if self.memory:
@@ -111,10 +108,6 @@ class StageTimings:
                 )
             )
 
-    def record(self, name: str, seconds: float, *, items: int | None = None) -> None:
-        if self.enabled:
-            self.stages.append(StageTiming(name=name, seconds=seconds, items=items))
-
     @classmethod
     def merged(cls, runs: Iterable["StageTimings"]) -> "StageTimings":
         """Aggregate many runs' timings by stage name.
@@ -143,7 +136,7 @@ class StageTimings:
                     # view answers "how much memory did this stage ever
                     # need at once".
                     existing.peak_kb = max(existing.peak_kb or 0, stage.peak_kb)
-        out = cls(enabled=True)
+        out = cls()
         out.stages = list(combined.values())
         return out
 
@@ -186,8 +179,3 @@ class StageTimings:
 
 def _gc_passes() -> int:
     return sum(generation["collections"] for generation in gc.get_stats())
-
-
-def null_timings() -> StageTimings:
-    """A disabled recorder for callers that do not profile."""
-    return StageTimings(enabled=False)

@@ -27,7 +27,6 @@ from dataclasses import asdict
 from typing import Callable
 
 from repro.analysis.study import Study, StudyConfig
-from repro.runlog import RunContext
 from repro.runlog.inspect import list_runs, render_run_detail
 from repro.runlog.journal import run_id
 from repro.runtime import StageTimings, make_executor
@@ -222,19 +221,12 @@ class StudyService:
         run = run_id(config)
         timings = StageTimings(observer=on_stage)
         with self._run_lock(run):
-            runlog = RunContext.for_study(
-                config, self.cache, resume=resume, observer=on_record
+            # A failed run leaves its journal resumable, which is what
+            # the 503's hint promises.
+            study = Study.run(
+                config, executor=self.executor, timings=timings,
+                cache=self.cache, resume=resume, observer=on_record,
             )
-            try:
-                study = Study.run(
-                    config, executor=self.executor, timings=timings,
-                    cache=self.cache, runlog=runlog,
-                )
-                study.coverage = runlog.finish()
-            finally:
-                # No run-finish record on failure: the journal stays
-                # resumable, which is what the 503's hint promises.
-                runlog.close()
         return study, timings, run
 
     @staticmethod

@@ -56,10 +56,6 @@ class Certificate:
         """Validity-window check."""
         return self.not_before <= timestamp < self.not_after
 
-    def covered_hostnames(self, candidates: list[str]) -> list[str]:
-        """Filter ``candidates`` down to those this certificate covers."""
-        return [name for name in candidates if self.covers(name)]
-
     @property
     def fingerprint(self) -> str:
         """A stable identifier used for grouping in reports."""

@@ -118,8 +118,3 @@ class IssuerRegistry:
     ) -> Certificate:
         """Convenience: issue via the ``org`` authority."""
         return self.authority(org).issue(sans, **kwargs)
-
-    @property
-    def organizations(self) -> list[str]:
-        """All issuer orgs that have minted at least one certificate."""
-        return sorted(self._authorities)

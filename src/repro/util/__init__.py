@@ -3,7 +3,7 @@
 from repro.util.clock import SimClock
 from repro.util.formatting import align_table, pct, si_count
 from repro.util.rng import RngFactory, derive_seed, stable_hash
-from repro.util.stats import ccdf, counter_to_series, median, quantile
+from repro.util.stats import ccdf, median, quantile
 
 __all__ = [
     "SimClock",
@@ -14,7 +14,6 @@ __all__ = [
     "derive_seed",
     "stable_hash",
     "ccdf",
-    "counter_to_series",
     "median",
     "quantile",
 ]

@@ -22,8 +22,6 @@ __all__ = [
     "is_valid_hostname",
     "public_suffix",
     "registrable_domain",
-    "is_subdomain_of",
-    "parent_domain",
 ]
 
 #: Public suffixes known to the synthetic ecosystem.  Two-level entries
@@ -117,20 +115,3 @@ def _registrable_domain_cached(name: str) -> str | None:
     if len(parts) <= suffix_len:
         return None
     return ".".join(parts[-(suffix_len + 1):])
-
-
-def is_subdomain_of(name: str, ancestor: str) -> bool:
-    """True when ``name`` equals ``ancestor`` or sits below it."""
-    name_parts = labels(name)
-    ancestor_parts = labels(ancestor)
-    if not ancestor_parts or len(name_parts) < len(ancestor_parts):
-        return False
-    return name_parts[-len(ancestor_parts):] == ancestor_parts
-
-
-def parent_domain(name: str) -> str | None:
-    """Drop the left-most label; ``None`` when nothing remains."""
-    parts = labels(name)
-    if len(parts) <= 1:
-        return None
-    return ".".join(parts[1:])

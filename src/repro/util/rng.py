@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -65,24 +65,11 @@ class RngFactory:
         """Return a factory whose streams are namespaced under ``name``."""
         return RngFactory(derive_seed(self.seed, name))
 
-    def choice_weighted(
-        self, name: str, items: Sequence[T], weights: Sequence[float]
-    ) -> T:
-        """One weighted choice from a throwaway stream called ``name``."""
-        stream = self.stream(name)
-        return stream.choices(list(items), weights=list(weights), k=1)[0]
-
     def shuffled(self, name: str, items: Sequence[T]) -> list[T]:
         """Return a deterministically shuffled copy of ``items``."""
         out = list(items)
         self.stream(name).shuffle(out)
         return out
-
-    def ints(self, name: str, lo: int, hi: int) -> Iterator[int]:
-        """Yield an endless stream of integers in ``[lo, hi]``."""
-        stream = self.stream(name)
-        while True:
-            yield stream.randint(lo, hi)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(seed={self.seed})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
-__all__ = ["ccdf", "median", "quantile", "counter_to_series"]
+__all__ = ["ccdf", "median", "quantile"]
 
 
 def ccdf(values: Iterable[int]) -> list[tuple[int, float]]:
@@ -57,13 +57,3 @@ def quantile(values: Sequence[float], q: float) -> float:
 def median(values: Sequence[float]) -> float:
     """The 0.5 quantile."""
     return quantile(values, 0.5)
-
-
-def counter_to_series(
-    counter: Counter, top: int | None = None
-) -> list[tuple[str, int]]:
-    """Sort a counter by descending count, then key, optionally truncated."""
-    series = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-    if top is not None:
-        series = series[:top]
-    return series

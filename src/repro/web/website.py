@@ -106,9 +106,6 @@ class Website:
     def url(self) -> str:
         return f"https://{self.domain}/"
 
-    def resource_count(self) -> int:
-        return self.document.count()
-
     def document_for(self, path: str) -> Resource | None:
         """The page tree served at ``path`` ("/" = landing page)."""
         if path in ("", "/"):

@@ -1,23 +1,17 @@
-"""Tests for the CLI, the exporters and HAR-corpus persistence."""
+"""Tests for the CLI and the Markdown exporter."""
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 
 import pytest
 
-from repro.analysis.export import figure2_to_csv, table_to_csv, table_to_markdown
-from repro.analysis.figures import figure2
-from repro.analysis.tables import table1, table11
+from repro.analysis.export import table_to_markdown
+from repro.analysis.tables import table11
 from repro.cli import build_parser, main
-from repro.core.session import LifetimeModel
-from repro.crawl.httparchive import HttpArchiveCrawler
 from repro.evolve.policy import POLICIES
 from repro.faults.plan import FAULTS
 from repro.h3.plan import H3_PROFILES
-from repro.har.store import load_corpus, save_corpus
 
 
 class TestCli:
@@ -114,48 +108,3 @@ class TestExport:
         assert lines[0].startswith("**Table 11")
         assert lines[2].startswith("| IP |") or "IP" in lines[2]
         assert len(lines) == 3 + 1 + 14  # title, blank, header, rule? adjust
-
-    def test_table_csv_roundtrip(self, small_study):
-        text = table_to_csv(table1(small_study))
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0][0] == "Cause"
-        assert rows[1][0] == "CERT"
-        assert len(rows) == 6  # header + 5 rows
-
-    def test_figure2_csv(self, small_study):
-        text = figure2_to_csv(figure2(small_study))
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["dataset", "redundant_connections", "share_at_least"]
-        datasets = {row[0] for row in rows[1:]}
-        assert datasets == {"har-endless", "alexa", "alexa-nofetch"}
-        shares = [float(row[2]) for row in rows[1:]]
-        assert all(0.0 <= share <= 1.0 for share in shares)
-
-
-class TestHarStore:
-    def test_save_load_roundtrip(self, small_ecosystem, tmp_path):
-        crawler = HttpArchiveCrawler(world=small_ecosystem.index, seed=31)
-        corpus = crawler.crawl(small_ecosystem.index.alexa_list(8))
-        save_corpus(corpus, tmp_path / "corpus")
-        loaded = load_corpus(tmp_path / "corpus")
-        assert loaded.name == corpus.name
-        assert set(loaded.hars) == set(corpus.hars)
-        for domain in corpus.hars:
-            assert loaded.hars[domain].to_dict() == corpus.hars[domain].to_dict()
-
-    def test_loaded_corpus_classifies_identically(self, small_ecosystem,
-                                                  tmp_path):
-        crawler = HttpArchiveCrawler(world=small_ecosystem.index, seed=32)
-        corpus = crawler.crawl(small_ecosystem.index.alexa_list(8))
-        save_corpus(corpus, tmp_path / "c2")
-        loaded = load_corpus(tmp_path / "c2")
-        original = corpus.classify(model=LifetimeModel.ENDLESS)
-        reloaded = loaded.classify(model=LifetimeModel.ENDLESS)
-        assert original.report.redundant_connections == (
-            reloaded.report.redundant_connections
-        )
-        assert original.report.h2_connections == reloaded.report.h2_connections
-
-    def test_missing_index_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_corpus(tmp_path / "nope")

@@ -46,12 +46,27 @@ def _argv(command: str, *flags: str) -> list[str]:
      "['process', 'serial', 'thread']"),
     (("--shards", "0"), "error: shards must be >= 1, got 0"),
     (("--epochs", "-1"), "error: epochs must be >= 0, got -1"),
+    (("--sites", "0"), "error: n_sites must be >= 1, got 0"),
 ], ids=["resume-without-cache", "bad-executor", "zero-shards",
-        "negative-epochs"])
+        "negative-epochs", "zero-sites"])
 def test_bad_shared_flags_exit_2(capsys, command, flags, line):
     assert _exit_code(_argv(command, *flags)) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(line)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("axis, line", [
+    ("ha_sample_share=-0.5",
+     "error: ha_sample_share must be in (0, 1], got -0.5"),
+    ("alexa_share=0.3,1.5", "error: alexa_share must be in (0, 1], got 1.5"),
+    ("dns_study_days=-2", "error: dns_study_days must be >= 0, got -2.0"),
+], ids=["negative-ha-share", "alexa-share-above-1", "negative-dns-days"])
+def test_out_of_range_grid_values_exit_2(capsys, axis, line):
+    assert _exit_code(["sweep", "--sites", "40", "--seeds", "7",
+                       "--grid", axis]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n"
     assert captured.out == ""
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.browser.fetch import decide_credentials, is_same_origin, same_site
+from repro.browser.fetch import decide_credentials, is_same_origin
 from repro.web.resources import RequestMode
 
 
@@ -51,11 +51,3 @@ class TestDecideCredentials:
 class TestOriginHelpers:
     def test_is_same_origin_case_insensitive(self):
         assert is_same_origin("Example.COM", "example.com")
-
-    def test_same_site_registrable_domain(self):
-        assert same_site("img.example.com", "www.example.com")
-        assert not same_site("example.com", "other.com")
-
-    def test_same_site_unknown_suffix_falls_back_to_host(self):
-        assert same_site("host.weird", "host.weird")
-        assert not same_site("a.weird", "b.weird")

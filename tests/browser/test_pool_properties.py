@@ -130,7 +130,6 @@ class TestPoolEdgeCases:
         assert pool.sessions == []
         assert pool.created_count == 0
         assert pool.coalesced_count == 0
-        assert pool.live_sessions() == []
 
     def test_close_all_on_empty_pool(self):
         pool = ConnectionPool(server_lookup=_world().__getitem__,

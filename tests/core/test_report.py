@@ -68,12 +68,6 @@ class TestCorpusReport:
         assert report.site_share(Cause.CRED) == 0.5
         assert report.connection_share(Cause.CRED) == 1 / 3
 
-    def test_table_rows_layout(self):
-        report = CorpusReport(name="r")
-        rows = report.table_rows()
-        assert [row[0] for row in rows] == ["CERT", "IP", "CRED", "Redund.", "Total"]
-        assert all(len(row) == 5 for row in rows)
-
     def test_zero_division_safety(self):
         report = CorpusReport(name="r")
         assert report.redundant_site_share() == 0.0

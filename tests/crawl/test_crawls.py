@@ -79,7 +79,7 @@ class TestHttpArchiveCrawler:
         a = HttpArchiveCrawler(world=small_ecosystem.index, seed=5).crawl(domains)
         b = HttpArchiveCrawler(world=small_ecosystem.index, seed=5).crawl(domains)
         for domain in a.hars:
-            assert a.hars[domain].to_dict() == b.hars[domain].to_dict()
+            assert a.hars[domain] == b.hars[domain]
 
 
 class TestAlexaCrawler:

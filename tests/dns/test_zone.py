@@ -31,7 +31,6 @@ class TestDnsNamespace:
         )
         assert answer.name == "www.example.com"
         assert answer.cname_chain == ("a.example.com",)
-        assert answer.canonical_name == "a.example.com"
         assert answer.primary_ip == "10.0.0.1"
 
     def test_nxdomain(self, namespace):

@@ -56,11 +56,6 @@ class TestDnsStudy:
         )
         assert timeline.classification() == "sometimes"
 
-    def test_classification_buckets_partition(self, study_result):
-        buckets = study_result.by_classification()
-        total = sum(len(timelines) for timelines in buckets.values())
-        assert total == len(study_result.timelines)
-
     def test_custom_pair(self, small_ecosystem):
         study = DnsLoadBalancingStudy(
             ecosystem=small_ecosystem,

@@ -2,8 +2,9 @@
 
 ``tests/docs/test_docs.py`` proves the *real* docs are clean; these
 tests prove the checker would actually catch each class of rot — a
-dead Markdown link, a dead backtick path, a dead CLI flag — against a
-planted fixture docs tree, and that the healthy forms pass.
+dead Markdown link, a dead backtick path, a dead CLI flag, a dead API
+name — against a planted fixture docs tree, and that the healthy forms
+pass.
 """
 
 from __future__ import annotations
@@ -86,6 +87,20 @@ class TestEachRotClassIsCaught:
         (finding,) = check_docs.check_file(path, _FLAGS)
         assert "--retired-flag" in finding
 
+    @pytest.mark.parametrize("name", [
+        "repro.runtime.null_timings",  # a removed attribute
+        "repro.har.store",  # a removed module
+        "repro.runtime.StageTimings.record",  # a removed method
+    ])
+    def test_dead_api_name(self, fake_repo, check_docs, name):
+        path = _write(fake_repo, "README.md", f"""\
+            Call `{name}` first.
+        """)
+        (finding,) = check_docs.check_file(path, _FLAGS)
+        assert "unknown API name" in finding
+        assert name in finding
+        assert "README.md:1" in finding
+
 
 class TestHealthyFormsPass:
     def test_clean_doc_has_no_findings(self, fake_repo, check_docs):
@@ -97,6 +112,10 @@ class TestHealthyFormsPass:
             ```
 
             External [link](https://example.org/x) is never fetched.
+
+            APIs: `repro.runlog`, `repro.runtime.Executor`,
+            `repro.runtime.StageTimings.seconds_for`; prose such as
+            `repro.foo()` or `repro study` is not a bare name.
         """)
         assert check_docs.check_file(path, _FLAGS) == []
 

@@ -138,12 +138,6 @@ class TestConnectionLifecycle:
         with pytest.raises(ConnectionClosedError):
             conn.perform_request("example.com", "/", now=0.0)
 
-    def test_last_activity(self):
-        conn = _connection()
-        assert conn.last_activity() == 0.0
-        conn.perform_request("example.com", "/", now=3.0, service_time=0.25)
-        assert conn.last_activity() == 3.25
-
 
 class TestRequestPathKeepsNoHpackState:
     """Connections never HPACK-encode; ``perf/estimator.py`` accounts

@@ -127,9 +127,9 @@ class TestHpackRoundtrip:
 
     def test_compression_ratio_tracks(self):
         encoder = HpackEncoder()
-        assert encoder.compression_ratio == 1.0
+        assert encoder.bytes_emitted == encoder.bytes_uncompressed == 0
         encoder.encode([(":method", "GET")])
-        assert 0 < encoder.compression_ratio < 1.0
+        assert 0 < encoder.bytes_emitted < encoder.bytes_uncompressed
 
     @given(_headers)
     def test_roundtrip_property(self, headers):

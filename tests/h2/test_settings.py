@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.h2.settings import Http2Settings, SettingId
+from repro.h2.settings import Http2Settings
 
 
 class TestHttp2Settings:
@@ -25,24 +25,3 @@ class TestHttp2Settings:
     def test_window_size_bounds(self):
         with pytest.raises(ValueError):
             Http2Settings(initial_window_size=2**31)
-
-    def test_pairs_roundtrip(self):
-        settings = Http2Settings(
-            max_concurrent_streams=100, max_header_list_size=8192
-        )
-        rebuilt = Http2Settings().apply_pairs(settings.to_pairs())
-        assert rebuilt == settings
-
-    def test_unknown_identifier_ignored(self):
-        settings = Http2Settings().apply_pairs([(0x99, 42)])
-        assert settings == Http2Settings()
-
-    def test_enable_push_validation(self):
-        with pytest.raises(ValueError):
-            Http2Settings().apply_pairs([(SettingId.ENABLE_PUSH, 2)])
-
-    def test_apply_is_copy(self):
-        original = Http2Settings()
-        updated = original.apply_pairs([(SettingId.MAX_CONCURRENT_STREAMS, 5)])
-        assert original.max_concurrent_streams is None
-        assert updated.max_concurrent_streams == 5

@@ -19,21 +19,6 @@ class TestStreamLifecycle:
         assert stream.closed_at == 2.0
         assert stream.response_status == 200
 
-    def test_request_with_body(self):
-        stream = Http2Stream(stream_id=3)
-        stream.send_request([(":method", "POST")], now=0.0, end_stream=False)
-        assert stream.state is StreamState.OPEN
-        stream.end_request()
-        assert stream.state is StreamState.HALF_CLOSED_LOCAL
-
-    def test_streamed_response(self):
-        stream = Http2Stream(stream_id=1)
-        stream.send_request([], now=0.0)
-        stream.receive_response(200, [], now=1.0, end_stream=False)
-        assert stream.state is StreamState.HALF_CLOSED_LOCAL
-        stream.end_response(now=2.0)
-        assert stream.is_closed
-
     def test_reset_from_any_state(self):
         stream = Http2Stream(stream_id=1)
         stream.send_request([], now=0.0)
@@ -64,13 +49,3 @@ class TestStreamValidation:
         stream = Http2Stream(stream_id=1)
         with pytest.raises(StreamError):
             stream.receive_response(200, [], now=0.0)
-
-    def test_end_request_wrong_state(self):
-        stream = Http2Stream(stream_id=1)
-        with pytest.raises(StreamError):
-            stream.end_request()
-
-    def test_end_response_wrong_state(self):
-        stream = Http2Stream(stream_id=1)
-        with pytest.raises(StreamError):
-            stream.end_response(now=0.0)

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
-from repro.har.model import HarEntry, HarFile, HarPage, HarSecurityDetails
+from repro.har.model import HarEntry, HarSecurityDetails
 
 
 def _entry(**kwargs):
@@ -38,45 +34,3 @@ class TestHarEntry:
 
     def test_domain_lowercased(self):
         assert _entry(url="https://WWW.Example.COM/x").domain == "www.example.com"
-
-
-class TestHarFileSerialization:
-    def test_roundtrip(self):
-        har = HarFile(
-            page=HarPage(page_id="page_1", started_date_time=0.5,
-                         title="https://example.com/", on_load_ms=1234.0),
-            entries=[_entry(), _entry(connection="4", security=None)],
-        )
-        rebuilt = HarFile.from_dict(har.to_dict())
-        assert rebuilt.page == har.page
-        assert rebuilt.entries == har.entries
-
-    def test_json_serializable(self):
-        har = HarFile(
-            page=HarPage(page_id="page_1", started_date_time=0.0,
-                         title="t", on_load_ms=1.0),
-            entries=[_entry()],
-        )
-        text = json.dumps(har.to_dict())
-        assert HarFile.from_dict(json.loads(text)).entries == har.entries
-
-    def test_standard_layout_keys(self):
-        har = HarFile(
-            page=HarPage(page_id="p", started_date_time=0.0, title="t",
-                         on_load_ms=0.0),
-            entries=[_entry()],
-        )
-        data = har.to_dict()
-        assert data["log"]["version"] == "1.2"
-        entry = data["log"]["entries"][0]
-        assert entry["request"]["method"] == "GET"
-        assert entry["response"]["status"] == 200
-        assert entry["serverIPAddress"] == "10.0.0.1"
-        assert entry["_securityDetails"]["sanList"] == [
-            "example.com", "*.example.com"
-        ]
-
-    def test_pageless_file_rejected(self):
-        with pytest.raises(ValueError):
-            HarFile.from_dict({"log": {"version": "1.2", "pages": [],
-                                       "entries": []}})

@@ -18,13 +18,14 @@ from repro.perfbench import (
 )
 from repro.perfbench.pipeline import PipelineRun
 from repro.perfbench.report import render_check_report
-from repro.runtime import StageTimings
+from repro.runtime.profile import StageTiming, StageTimings
 
 
 def _run(label="golden", wall=1.0, digest="abc123") -> PipelineRun:
-    timings = StageTimings()
-    timings.record("crawl", wall * 0.8, items=100)
-    timings.record("classify", wall * 0.2, items=100)
+    timings = StageTimings(stages=[
+        StageTiming(name="crawl", seconds=wall * 0.8, items=100),
+        StageTiming(name="classify", seconds=wall * 0.2, items=100),
+    ])
     return PipelineRun(
         label=label, seed=7, n_sites=120, wall_s=wall, digest=digest,
         peak_rss_kb=50_000, repeats=3, timings=timings,

@@ -21,7 +21,7 @@ from repro.analysis.digest import study_digest
 from repro.analysis.report import generate_report
 from repro.analysis.study import Study, StudyConfig
 from repro.crawl import httparchive
-from repro.runlog import RunContext, WorkerCrashError, load_records, run_id
+from repro.runlog import RunJournal, WorkerCrashError, load_records, run_id
 from repro.store import StudyCache
 
 GOLDEN_DIGEST = (
@@ -133,6 +133,10 @@ class TestInertness:
     def test_resume_requires_a_cache(self):
         with pytest.raises(ValueError, match="resume"):
             Study.run(_config(), resume=True)
+
+    def test_observer_requires_a_cache(self):
+        with pytest.raises(ValueError, match="observer"):
+            Study.run(_config(), observer=lambda record: None)
 
 
 @pytest.mark.slow
@@ -257,19 +261,22 @@ class TestJournalSync:
         config = _config()
         cache = StudyCache(tmp_path)
         calls = _count_fsyncs(monkeypatch)
+        # The fsync count as each journal starts to close.
+        at_close = []
+        real_close = RunJournal.close
+
+        def close(journal) -> None:
+            at_close.append(len(calls))
+            real_close(journal)
+
+        monkeypatch.setattr(RunJournal, "close", close)
 
         def drained_run(observer) -> int:
             """Run until ``observer`` drains; the fsyncs made before
             the journal closed."""
-            runlog = RunContext.for_study(
-                config, cache, resume=True, observer=observer
-            )
-            try:
-                with pytest.raises(_Drain):
-                    Study.run(config, cache=cache, runlog=runlog)
-                return len(calls)
-            finally:
-                runlog.close()
+            with pytest.raises(_Drain):
+                Study.run(config, cache=cache, resume=True, observer=observer)
+            return at_close[-1]
 
         # A cold run stops after two shards finish, so the next run
         # finds part of its work cached and stops on its first skip.

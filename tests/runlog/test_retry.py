@@ -13,7 +13,6 @@ from repro.dns.errors import DnsError
 from repro.h2.errors import H2Error
 from repro.runlog import (
     PoisonShardError,
-    RetryPolicy,
     WorkerCrashError,
     classify_failure,
     retry_map,
@@ -49,19 +48,6 @@ class TestClassification:
         assert classify_failure(FileNotFoundError("gone")) == "transient"
 
 
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=-1.0)
-
-    def test_backoff_is_linear_and_deterministic(self):
-        policy = RetryPolicy(max_attempts=4, backoff_base=0.5)
-        assert [policy.backoff_s(n) for n in (1, 2, 3)] == [0.5, 1.0, 1.5]
-        assert RetryPolicy().backoff_s(3) == 0.0
-
-
 @dataclass(frozen=True)
 class _Task:
     name: str
@@ -88,13 +74,13 @@ class TestRetryMap:
         tasks = [_Task("a"), _Task("b"), _Task("c")]
         results = retry_map(
             SerialExecutor(), _work, tasks,
-            policy=RetryPolicy(), stage="s",
+            max_attempts=3, stage="s",
         )
         assert results == ["A", "B", "C"]
 
     def test_empty_items(self):
         assert retry_map(
-            SerialExecutor(), _work, [], policy=RetryPolicy(), stage="s"
+            SerialExecutor(), _work, [], max_attempts=3, stage="s"
         ) == []
 
     def test_transient_failure_recovers_on_single_redispatch(self):
@@ -104,7 +90,7 @@ class TestRetryMap:
         tasks = [_Task("a"), _Task("b", fail_until=2), _Task("c")]
         results = retry_map(
             SerialExecutor(), _work, tasks,
-            policy=RetryPolicy(max_attempts=3), stage="s",
+            max_attempts=3, stage="s",
             reattempt=_reattempt,
             on_event=lambda kind, detail: events.append((kind, detail)),
         )
@@ -119,7 +105,7 @@ class TestRetryMap:
         with pytest.raises(PoisonShardError) as info:
             retry_map(
                 SerialExecutor(), _work, tasks,
-                policy=RetryPolicy(max_attempts=3), stage="alexa-fetch",
+                max_attempts=3, stage="alexa-fetch",
                 domains=("a.com", "b.com"), reattempt=_reattempt,
             )
         assert info.value.stage == "alexa-fetch"
@@ -132,7 +118,7 @@ class TestRetryMap:
         with pytest.raises(TypeError):
             retry_map(
                 SerialExecutor(), _work, [_Task("a", fatal=True)],
-                policy=RetryPolicy(max_attempts=5), stage="s",
+                max_attempts=5, stage="s",
                 reattempt=_reattempt,
                 on_event=lambda kind, detail: events.append(kind),
             )
@@ -150,7 +136,7 @@ class TestRetryMap:
         with pytest.raises(TypeError):
             retry_map(
                 SerialExecutor(), flaky_then_buggy, [_Task("a")],
-                policy=RetryPolicy(max_attempts=4), stage="s",
+                max_attempts=4, stage="s",
                 reattempt=_reattempt,
             )
         assert calls == [0, 1]
@@ -161,23 +147,9 @@ class TestRetryMap:
         with pytest.raises(DnsError):
             retry_map(
                 SerialExecutor(), _work, [_Task("a", fail_until=9)],
-                policy=RetryPolicy(max_attempts=1), stage="s",
+                max_attempts=1, stage="s",
                 reattempt=_reattempt,
             )
-
-    def test_backoff_sleeps_between_attempts(self, monkeypatch):
-        import repro.runlog.retry as retry_module
-
-        naps = []
-        monkeypatch.setattr(
-            retry_module.time, "sleep", lambda s: naps.append(s)
-        )
-        retry_map(
-            SerialExecutor(), _work, [_Task("a", fail_until=2)],
-            policy=RetryPolicy(max_attempts=3, backoff_base=0.25),
-            stage="s", reattempt=_reattempt,
-        )
-        assert naps == [0.25, 0.5]
 
 
 # --- dead-worker re-dispatch -------------------------------------------------
@@ -201,7 +173,7 @@ class TestDeadWorkerRedispatch:
         with ProcessExecutor(max_workers=2) as executor:
             results = retry_map(
                 executor, _suicidal, tasks,
-                policy=RetryPolicy(max_attempts=3), stage="s",
+                max_attempts=3, stage="s",
                 reattempt=_reattempt,
                 on_event=lambda kind, detail: events.append((kind, detail)),
             )
@@ -222,6 +194,6 @@ class TestDeadWorkerRedispatch:
             with pytest.raises(PoisonShardError):
                 retry_map(
                     executor, _suicidal, tasks,
-                    policy=RetryPolicy(max_attempts=2), stage="s",
+                    max_attempts=2, stage="s",
                     reattempt=_reattempt,
                 )

@@ -205,7 +205,6 @@ class TestMapSites:
 class TestMakeExecutor:
     def test_default_is_serial(self):
         assert isinstance(make_executor(), SerialExecutor)
-        assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor("serial"), SerialExecutor)
 
     def test_thread_and_process_specs(self):
@@ -224,10 +223,6 @@ class TestMakeExecutor:
 
     def test_default_worker_count(self):
         assert make_executor("thread").max_workers == default_workers()
-
-    def test_instance_passthrough(self):
-        executor = SerialExecutor()
-        assert make_executor(executor) is executor
 
     @pytest.mark.parametrize("spec", ["bogus", "thread:x", "thread:0"])
     def test_bad_specs_rejected(self, spec):

@@ -35,7 +35,7 @@ class TestMemoryTracking:
 
     def test_render_shows_memory_column_only_when_present(self):
         timings = StageTimings()
-        timings.record("plain", 1.0)
+        timings.stages.append(StageTiming(name="plain", seconds=1.0))
         assert "KiB" not in timings.render()
         timings.stages.append(
             StageTiming(name="tracked", seconds=0.5, peak_kb=2_048)

@@ -79,11 +79,18 @@ class TestStudyRequest:
             "schema", "bogus", "executor", "n_sites", "resume",
         }
 
-    def test_semantically_bad_config_rejected(self):
+    @pytest.mark.parametrize("field, value", [
+        ("alexa_variants", ["teapot"]),
+        ("n_sites", -5),
+        ("n_sites", 0),
+        ("ha_sample_share", -0.5),
+        ("alexa_share", 1.5),
+        ("dns_study_days", -2),
+    ], ids=["unknown-variant", "negative-sites", "zero-sites",
+            "negative-ha-share", "alexa-share-above-1", "negative-dns-days"])
+    def test_semantically_bad_config_rejected(self, field, value):
         with pytest.raises(SchemaError) as exc:
-            parse_study_request({
-                "schema": 1, "alexa_variants": ["teapot"]
-            })
+            parse_study_request({"schema": 1, field: value})
         assert _fields(exc.value) == ["(config)"]
 
     def test_non_object_body_rejected(self):

@@ -43,12 +43,6 @@ class TestCertificate:
         with pytest.raises(ValueError):
             _cert(["example.com"], not_before=200.0, not_after=200.0)
 
-    def test_covered_hostnames_filter(self):
-        cert = _cert(["*.example.com"])
-        assert cert.covered_hostnames(
-            ["a.example.com", "example.com", "b.example.com"]
-        ) == ["a.example.com", "b.example.com"]
-
     def test_fingerprint_stable(self):
         cert = _cert(["example.com"])
         assert cert.fingerprint == "Test CA#1"

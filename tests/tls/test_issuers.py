@@ -52,7 +52,6 @@ class TestIssuerRegistry:
         registry = IssuerRegistry()
         cert = registry.issue(LETS_ENCRYPT, ["a.example.com"])
         assert cert.issuer_org == LETS_ENCRYPT
-        assert registry.organizations == [LETS_ENCRYPT]
 
     def test_serials_independent_across_orgs(self):
         registry = IssuerRegistry()

@@ -7,11 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.domains import (
-    is_subdomain_of,
     is_valid_hostname,
     labels,
     normalize,
-    parent_domain,
     public_suffix,
     registrable_domain,
 )
@@ -82,30 +80,6 @@ class TestRegistrableDomain:
     )
     def test_cases(self, name, expected):
         assert registrable_domain(name) == expected
-
-
-class TestSubdomain:
-    def test_self(self):
-        assert is_subdomain_of("example.com", "example.com")
-
-    def test_child(self):
-        assert is_subdomain_of("img.example.com", "example.com")
-
-    def test_not_suffix_string_match(self):
-        # "notexample.com" ends with "example.com" as a string, but is
-        # not a subdomain.
-        assert not is_subdomain_of("notexample.com", "example.com")
-
-    def test_parent_not_subdomain_of_child(self):
-        assert not is_subdomain_of("example.com", "img.example.com")
-
-
-class TestParentDomain:
-    def test_drops_leftmost(self):
-        assert parent_domain("a.b.c") == "b.c"
-
-    def test_single_label(self):
-        assert parent_domain("com") is None
 
 
 class TestLabels:

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.util.stats import ccdf, counter_to_series, median, quantile
+from repro.util.stats import ccdf, median, quantile
 
 
 class TestCcdf:
@@ -62,13 +60,3 @@ class TestQuantile:
     def test_within_bounds(self, values):
         result = median(values)
         assert min(values) <= result <= max(values)
-
-
-class TestCounterToSeries:
-    def test_sorted_by_count_then_key(self):
-        counter = Counter({"b": 2, "a": 2, "c": 5})
-        assert counter_to_series(counter) == [("c", 5), ("a", 2), ("b", 2)]
-
-    def test_truncation(self):
-        counter = Counter({"a": 3, "b": 2, "c": 1})
-        assert counter_to_series(counter, top=2) == [("a", 3), ("b", 2)]

@@ -34,7 +34,7 @@ class TestBuildSite:
         site = factory.build_site(rank=1)
         assert site.document.path == "/"
         assert site.document.domain == site.domain
-        assert site.resource_count() >= 4
+        assert site.document.count() >= 4
 
     def test_site_resolvable_and_served(self, factory):
         site = factory.build_site(rank=1)

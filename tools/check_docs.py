@@ -1,6 +1,6 @@
 """Dead-link / dead-path / dead-flag checker for the Markdown docs.
 
-Scans ``README.md`` and ``docs/*.md`` for three classes of rot:
+Scans ``README.md`` and ``docs/*.md`` for four classes of rot:
 
 1. **relative Markdown links** (``[text](path)``) whose target file or
    directory no longer exists;
@@ -8,7 +8,10 @@ Scans ``README.md`` and ``docs/*.md`` for three classes of rot:
    ``, `` `docs/...` ``, `` `examples/...` ``, `` `tools/...` ``)
    pointing at files that no longer exist;
 3. **CLI flag references** (`` --flag `` inside backticks or console
-   blocks) that no CLI parser registers any more.
+   blocks) that no CLI parser registers any more;
+4. **API names** (`` `repro.runtime.Executor` ``: a whole backtick span
+   that is a dotted ``repro.…`` name) that no longer import or resolve
+   to an attribute.
 
 External URLs are deliberately not fetched — CI must not depend on the
 network.  Run standalone (exit 1 on any finding)::
@@ -20,7 +23,9 @@ or through the tier-1 suite (``tests/docs/test_docs.py``).
 
 from __future__ import annotations
 
+import importlib
 import re
+from functools import lru_cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +39,7 @@ _BACKTICK = re.compile(r"`([^`\n]+)`")
 #: names a concrete file or directory (no globs/placeholders).
 _PATH_ROOTS = ("src/", "tests/", "docs/", "examples/", "tools/")
 _FLAG = re.compile(r"(--[a-z][a-z0-9-]+)\b")
+_API_NAME = re.compile(r"repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 #: Flag-like strings that are not CLI flags of this repo.
 _FLAG_ALLOWLIST = frozenset((
     "--doctest-modules",  # pytest's own flag, quoted in the docs
@@ -66,6 +72,32 @@ def registered_cli_flags() -> set[str]:
 
     harvest(build_parser())
     return flags
+
+
+@lru_cache(maxsize=None)
+def api_name_resolves(name: str) -> bool:
+    """Whether ``name`` imports as a module or is an attribute of one.
+
+    The longest importable prefix is the module; the rest of the name
+    must resolve attribute by attribute from it.
+    """
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as error:
+            missing = error.name or ""
+            if not f"{module_name}.".startswith(f"{missing}."):
+                raise  # the module exists but one of its imports does not
+            continue
+        for attribute in parts[split:]:
+            try:
+                target = getattr(target, attribute)
+            except AttributeError:
+                return False
+        return True
+    return False
 
 
 def _looks_like_path(text: str) -> bool:
@@ -120,6 +152,11 @@ def check_file(path: Path, cli_flags: set[str]) -> list[str]:
                         f"{shown}:{number}: unknown "
                         f"CLI flag ({flag})"
                     )
+            if _API_NAME.fullmatch(content) and not api_name_resolves(content):
+                findings.append(
+                    f"{shown}:{number}: unknown API name "
+                    f"({content})"
+                )
             if _looks_like_path(content):
                 candidate = content.rstrip("/")
                 if not (REPO_ROOT / candidate).exists():
