@@ -26,10 +26,10 @@ from functools import cached_property, partial
 from typing import Callable
 
 from repro.crawl.alexa import AlexaCrawler, AlexaRun, AlexaVariant
-from repro.crawl.classify import ClassifiedDataset
+from repro.crawl.classify import ClassifiedDataset, merge_classified_datasets
 from repro.crawl.httparchive import HarCorpus, HttpArchiveCrawler
 from repro.crawl.overlap import overlap_datasets
-from repro.crawl.shards import CrawlShard, pending_items
+from repro.crawl.shards import CrawlShard, pending_items, run_stages
 from repro.core.session import LifetimeModel
 from repro.evolve.policy import POLICIES
 from repro.faults.plan import FAULTS
@@ -46,6 +46,7 @@ from repro.runtime import (
 )
 from repro.runtime.executor import parse_executor_spec
 from repro.runtime.gcpause import collector_paused
+from repro.runtime.profile import StageWindow
 from repro.store import StudyCache
 from repro.util.scenario import merge_counts
 from repro.web.ecosystem import Ecosystem, EcosystemConfig, WorldIndex
@@ -210,6 +211,114 @@ class StudyConfig:
         )
 
 
+#: The Alexa datasets, in fold order: ``(variant, name, lifetime model)``.
+_ALEXA_DATASETS = (
+    ("fetch", "alexa-endless", LifetimeModel.ENDLESS),
+    ("fetch", "alexa", LifetimeModel.ACTUAL),
+    ("nofetch", "alexa-nofetch", LifetimeModel.ACTUAL),
+)
+
+
+class _ClassifyNodes:
+    """A study's classify nodes, run in its process as crawl shards land.
+
+    One classification stage per dataset, one shard per crawl shard.  A
+    HAR classify shard is ready when its crawl shard lands.  An Alexa
+    classify shard *i* is ready when every crawled variant's shard *i*
+    has: the variants partition one domain list by domain hash, so the
+    shard's share of the runs' common sites is the intersection of the
+    shards' reachable sites.  A quarantined crawl shard gets no
+    classify shard (its empty share would poison the cache under the
+    full shard's key) and leaves the other variant's shard *i* an empty
+    share.  Each node runs through its part's ``classify`` with a
+    one-shard plan, so it has the key and journal stage of the
+    whole-dataset plan's shard; partials fold in plan order, so the
+    order shards land in never reaches a dataset.
+    """
+
+    def __init__(self, config: StudyConfig, variants: list[str],
+                 index: WorldIndex, timings: StageTimings,
+                 cache: StudyCache | None, runlog: RunContext) -> None:
+        self.har_models = [LifetimeModel(value) for value in config.har_models]
+        self.variants = variants
+        self.asdb = index.asdb
+        self.timings = timings
+        self.cache = cache
+        self.runlog = runlog
+        #: Dataset name -> {crawl shard index: partial dataset}.
+        self.partials: dict[str, dict[int, ClassifiedDataset]] = {}
+        #: Alexa shard index -> {variant: (crawl shard, part or None)},
+        #: until every variant's shard has landed.
+        self.alexa: dict[int, dict[str, tuple[CrawlShard, AlexaRun | None]]] = {}
+        self.window: StageWindow | None = None
+        self.items = 0
+
+    def har_landed(self, shard: CrawlShard, corpus: HarCorpus | None) -> None:
+        if corpus is None:
+            return
+        for model in self.har_models:
+            name = f"har-{model.value}"
+            plan = corpus.classify_plan(
+                model, name, crawl_plan=[shard], cache=self.cache
+            )
+            self._run(name, shard, plan, partial(corpus.classify, model=model))
+
+    def alexa_landed(
+        self, variant: str, shard: CrawlShard, run: AlexaRun | None
+    ) -> None:
+        landed = self.alexa.setdefault(shard.index, {})
+        landed[variant] = (shard, run)
+        if len(landed) < len(self.variants):
+            return
+        del self.alexa[shard.index]
+        # "We review the intersection of websites for comparability."
+        sites = sorted(set.intersection(*(
+            set(run.reachable_sites) if run is not None else set()
+            for _, run in landed.values()
+        )))
+        for variant, name, model in _ALEXA_DATASETS:
+            crawl_shard, run = landed.get(variant, (shard, None))
+            if run is None:
+                continue
+            plan = run.classify_plan(
+                model, name, sites=sites, crawl_plan=[crawl_shard],
+                cache=self.cache,
+            )
+            self._run(name, crawl_shard, plan,
+                      partial(run.classify, model=model))
+
+    def _run(self, name: str, crawl_shard: CrawlShard,
+             plan: list[CrawlShard], classify: Callable) -> None:
+        if self.window is None:
+            self.window = self.timings.open("classify-datasets")
+        self.items += pending_items(plan)
+        dataset = classify(
+            name=name, plan=plan, asdb=self.asdb, cache=self.cache,
+            runlog=self.runlog,
+        )
+        self.window.land()
+        if not self.runlog.is_quarantined(plan[0].key):
+            self.partials.setdefault(name, {})[crawl_shard.index] = dataset
+
+    def finish(self) -> dict[str, ClassifiedDataset]:
+        """Every dataset, its partials merged in plan order."""
+        if self.window is None:
+            self.window = self.timings.open("classify-datasets")
+        self.window.close(items=self.items)
+        names = [(f"har-{model.value}", model) for model in self.har_models]
+        names += [
+            (name, model) for variant, name, model in _ALEXA_DATASETS
+            if variant in self.variants
+        ]
+        return {
+            name: merge_classified_datasets(name, model, [
+                dataset for _, dataset in
+                sorted(self.partials.get(name, {}).items())
+            ])
+            for name, model in names
+        }
+
+
 @dataclass
 class Study:
     """All measurement artefacts of one reproduction run.
@@ -307,8 +416,11 @@ class Study:
             "generate-ecosystem", items=0 if world_cached else config.n_sites
         ):
             index = world_index_for(eco_config, cache)
-        n_shards = config.shards
 
+        # The plan: every crawl shard of the study, keyed and probed
+        # up front (one shard per crawl on the default config).  The
+        # same plans drive the crawls, the classify nodes that hang off
+        # them and the item accounting, so the three cannot drift.
         ha_crawler = HttpArchiveCrawler(
             world=index, seed=config.seed + 100,
             fault_profile=config.fault_profile,
@@ -316,20 +428,9 @@ class Study:
         ha_domains = index.httparchive_sample(
             config.ha_sample_share, seed=config.seed + 1
         )
-        # Each crawl plans its deterministic shard partition up front
-        # (one shard on the default config): per-shard keys are hashed
-        # at most once, cached shards record zero items, and the same
-        # plan drives the crawl, the per-shard classifications and the
-        # item accounting, so the three cannot drift.
         ha_plan = ha_crawler.plan_shards(
-            ha_domains, shards=n_shards, cache=cache
+            ha_domains, shards=config.shards, cache=cache
         )
-        with timings.stage("crawl-httparchive", items=pending_items(ha_plan)):
-            har_corpus = ha_crawler.crawl(
-                ha_domains, executor=executor, cache=cache, plan=ha_plan,
-                runlog=runlog,
-            )
-
         alexa_count = max(1, int(config.n_sites * config.alexa_share))
         alexa_domains = index.alexa_list(alexa_count)
         alexa_crawler = AlexaCrawler(
@@ -337,67 +438,57 @@ class Study:
             fault_profile=config.fault_profile,
         )
         # The Fetch-compliant run and the privacy-mode-patched one.
-        alexa_runs: dict[str, AlexaRun] = {}
-        alexa_plans: dict[str, list[CrawlShard]] = {}
-        for label, variant in _ALEXA_VARIANTS.items():
-            if label not in config.alexa_variants:
-                continue
-            plan = alexa_plans[label] = alexa_crawler.plan_shards(
-                alexa_domains, variant, shards=n_shards, cache=cache,
+        variants = {
+            label: variant for label, variant in _ALEXA_VARIANTS.items()
+            if label in config.alexa_variants
+        }
+        alexa_plans = {
+            label: alexa_crawler.plan_shards(
+                alexa_domains, variant, shards=config.shards, cache=cache,
             )
-            with timings.stage(f"crawl-{variant.name}", items=pending_items(plan)):
-                alexa_runs[label] = alexa_crawler.run(
-                    alexa_domains, variant, executor=executor, cache=cache,
-                    plan=plan, runlog=runlog,
-                )
+            for label, variant in variants.items()
+        }
+
+        # The crawls run as one stream on the executor; each crawl
+        # shard is classified in this process as soon as it lands.
+        stages = [ha_crawler.stage(ha_plan)] + [
+            alexa_crawler.stage(alexa_plans[label], variant)
+            for label, variant in variants.items()
+        ]
+        windows = [timings.open("crawl-httparchive",
+                                items=pending_items(ha_plan))] + [
+            timings.open(f"crawl-{variant.name}",
+                         items=pending_items(alexa_plans[label]))
+            for label, variant in variants.items()
+        ]
+        nodes = _ClassifyNodes(
+            config, list(variants), index, timings, cache, runlog
+        )
+        handlers = [nodes.har_landed] + [
+            partial(nodes.alexa_landed, label) for label in variants
+        ]
+
+        def land(stage: int, shard: CrawlShard, part) -> None:
+            windows[stage].land()
+            handlers[stage](shard, part)
+
+        parts = run_stages(
+            stages, executor=executor, cache=cache, runlog=runlog,
+            on_land=land,
+        )
+        for window in windows:
+            window.close()
+        datasets = nodes.finish()
+
+        har_corpus = ha_crawler.fold(ha_plan, parts[0])
+        alexa_runs = {
+            label: alexa_crawler.fold(alexa_plans[label], run_parts, variant)
+            for (label, variant), run_parts in zip(variants.items(), parts[1:])
+        }
         # "We review the intersection of websites for comparability."
         common = sorted(set.intersection(*(
             set(run.reachable_sites) for run in alexa_runs.values()
         )))
-
-        # One classification stage per dataset, with one shard per
-        # crawl shard, run in this process: only the crawls go to the
-        # executor.  A quarantined crawl shard has no data in the
-        # corpus: classifying its (empty) share would poison the cache
-        # under the full shard's classify key, so it is left out.
-        def live(plan: list[CrawlShard]) -> list[CrawlShard]:
-            return [
-                shard for shard in plan
-                if not runlog.is_quarantined(shard.key)
-            ]
-
-        jobs: list[tuple[str, list[CrawlShard], Callable]] = []
-        for model_value in config.har_models:
-            model = LifetimeModel(model_value)
-            name = f"har-{model_value}"
-            plan = har_corpus.classify_plan(
-                model, name, crawl_plan=live(ha_plan), cache=cache
-            )
-            jobs.append((name, plan, partial(har_corpus.classify, model=model)))
-        for variant, name, model in (
-            ("fetch", "alexa-endless", LifetimeModel.ENDLESS),
-            ("fetch", "alexa", LifetimeModel.ACTUAL),
-            ("nofetch", "alexa-nofetch", LifetimeModel.ACTUAL),
-        ):
-            if variant not in alexa_runs:
-                continue
-            run = alexa_runs[variant]
-            plan = run.classify_plan(
-                model, name, sites=common,
-                crawl_plan=live(alexa_plans[variant]), cache=cache,
-            )
-            jobs.append((name, plan, partial(run.classify, model=model)))
-        with timings.stage(
-            "classify-datasets",
-            items=sum(pending_items(plan) for _, plan, _ in jobs),
-        ):
-            datasets = {
-                name: classify(
-                    name=name, plan=plan, asdb=index.asdb, cache=cache,
-                    runlog=runlog,
-                )
-                for name, plan, classify in jobs
-            }
         if "har-endless" in datasets and "alexa-endless" in datasets:
             with timings.stage("overlap"):
                 har_overlap, alexa_overlap = overlap_datasets(

@@ -152,6 +152,19 @@ def _setup(args, **overrides):
     return config, executor, cache
 
 
+def _check_sizes(args, **fields) -> None:
+    """``StudyConfig.validate``'s checks on ``--sites`` and ``fields``.
+
+    For the commands that build a world without running a study.
+    """
+    from repro.analysis.study import StudyConfig
+
+    try:
+        StudyConfig(seed=args.seed, n_sites=args.sites, **fields).validate()
+    except ValueError as error:
+        raise _InputError(str(error)) from None
+
+
 def _study_from_args(args):
     """Run the full study as configured by the common CLI flags."""
     from repro.analysis.study import Study
@@ -282,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--scales", default="smoke,golden,stress",
         help="comma-separated pipeline scales to run (smoke, golden, "
-             "stress, smoke-sharded, golden-sharded)",
+             "stress, smoke-sharded, golden-sharded, golden-pool)",
     )
     bench.add_argument("--repeat", type=int, default=3,
                        help="repetitions per measurement (best one wins)")
@@ -454,6 +467,7 @@ def _cmd_audit(args) -> int:
     from repro.util.clock import SimClock
     from repro.web.ecosystem import Ecosystem, EcosystemConfig
 
+    _check_sizes(args)
     ecosystem = Ecosystem.generate(
         EcosystemConfig(seed=args.seed, n_sites=args.sites)
     )
@@ -485,6 +499,7 @@ def _cmd_dnsstudy(args) -> int:
     from repro.dnsstudy.study import DnsLoadBalancingStudy
     from repro.web.ecosystem import Ecosystem, EcosystemConfig
 
+    _check_sizes(args, dns_study_days=args.days)
     ecosystem = Ecosystem.generate(
         EcosystemConfig(seed=args.seed, n_sites=args.sites)
     )
@@ -498,6 +513,7 @@ def _cmd_dnsstudy(args) -> int:
 def _cmd_mitigations(args) -> int:
     from repro.analysis.ablation import compare_mitigations
 
+    _check_sizes(args)
     comparison = compare_mitigations(seed=args.seed, n_sites=args.sites)
     print(comparison.render())
     return 0

@@ -31,7 +31,7 @@ from repro.crawl.classify import (
     plan_classification,
     run_classification,
 )
-from repro.crawl.shards import CrawlShard
+from repro.crawl.shards import CrawlShard, ShardStage, fold_provenance
 from repro.crawl.site import SiteCrawler, SiteTask, open_site
 from repro.core.session import LifetimeModel, SessionRecord
 from repro.netlog.parser import parse_sessions
@@ -252,25 +252,11 @@ class AlexaCrawler(SiteCrawler):
             offsets,
         )
 
-    def run(
-        self,
-        domains: list[str],
-        variant: AlexaVariant,
-        *,
-        executor: Executor | None = None,
-        cache: StudyCache | None = None,
-        shards: int = 1,
-        plan: list[CrawlShard] | None = None,
-        runlog: "RunContext | None" = None,
-    ) -> AlexaRun:
-        """One crawl over ``domains`` as run ``variant``.
-
-        Journal stage ``variant.name``; ``plan`` passes a precomputed
-        :meth:`plan_shards`; see :class:`~repro.crawl.site.SiteCrawler`
-        for ``cache`` and ``runlog``.
-        """
-        if plan is None:
-            plan = self.plan_shards(domains, variant, shards=shards, cache=cache)
+    def stage(
+        self, plan: list[CrawlShard], variant: AlexaVariant
+    ) -> ShardStage:
+        """The crawl of ``plan`` as run ``variant`` (journal stage
+        ``variant.name``)."""
         browser = BrowserConfig(
             vantage_country=self.vantage_country,
             ignore_privacy_mode=variant.ignore_privacy_mode,
@@ -304,13 +290,44 @@ class AlexaCrawler(SiteCrawler):
                 provenance=shard.key,
             )
 
-        def fold(parts: list[AlexaRun], provenance: str | None) -> AlexaRun:
-            merged = AlexaRun(name=variant.name, provenance=provenance)
-            for part in parts:
-                merged.measurements.update(part.measurements)
-            return merged
+        return self._stage(
+            variant.name, plan, _measure_one_site, task, shard_part
+        )
 
-        return self._crawl_stage(
-            variant.name, plan, _measure_one_site, task, shard_part, fold,
-            executor=executor, cache=cache, runlog=runlog,
+    def fold(
+        self, plan: list[CrawlShard], parts: list[AlexaRun | None],
+        variant: AlexaVariant,
+    ) -> AlexaRun:
+        """Run ``variant`` of ``plan`` from its parts (``None``:
+        quarantined)."""
+        parts = [part for part in parts if part is not None]
+        merged = AlexaRun(
+            name=variant.name,
+            provenance=fold_provenance(self.kind, plan, parts),
+        )
+        for part in parts:
+            merged.measurements.update(part.measurements)
+        return merged
+
+    def run(
+        self,
+        domains: list[str],
+        variant: AlexaVariant,
+        *,
+        executor: Executor | None = None,
+        cache: StudyCache | None = None,
+        shards: int = 1,
+        plan: list[CrawlShard] | None = None,
+        runlog: "RunContext | None" = None,
+    ) -> AlexaRun:
+        """One crawl over ``domains`` as run ``variant``.
+
+        ``plan`` passes a precomputed :meth:`plan_shards`; see
+        :class:`~repro.crawl.site.SiteCrawler` for ``cache`` and
+        ``runlog``.
+        """
+        if plan is None:
+            plan = self.plan_shards(domains, variant, shards=shards, cache=cache)
+        return self._crawl(
+            plan, variant, executor=executor, cache=cache, runlog=runlog
         )

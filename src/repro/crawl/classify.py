@@ -23,7 +23,7 @@ from repro.core.attribution import AttributionIndex
 from repro.core.classifier import SiteClassification, classify_site
 from repro.core.report import CorpusReport
 from repro.core.session import LifetimeModel, SessionRecord
-from repro.crawl.shards import CrawlShard, run_sharded_stage
+from repro.crawl.shards import CrawlShard, ShardStage, run_stages
 from repro.har.reader import FilterStats
 from repro.net.asdb import AsDatabase
 from repro.runtime import SerialExecutor
@@ -216,7 +216,7 @@ def run_classification(
 ) -> ClassifiedDataset:
     """Classify the shards of ``plan`` as dataset ``name``.
 
-    Runs as stage ``classify-<name>`` of the shard driver, in this
+    Runs as stage ``classify-<name>`` of the shard scheduler, in this
     process: each shard loads from ``cache`` under its key or maps
     ``worker`` over ``items(shard)``, one item per site in shard order,
     and becomes a partial dataset; a ``runlog`` journals, retries and
@@ -235,10 +235,12 @@ def run_classification(
         )
         return dataset
 
-    return run_sharded_stage(
-        f"classify-{name}", "classify", plan, worker, items, part,
-        lambda parts: merge_classified_datasets(name, model, parts),
+    (parts,) = run_stages(
+        [ShardStage(f"classify-{name}", "classify", plan, worker, items, part)],
         executor=SerialExecutor(), cache=cache, runlog=runlog,
+    )
+    return merge_classified_datasets(
+        name, model, [part for part in parts if part is not None]
     )
 
 

@@ -27,7 +27,7 @@ from repro.crawl.classify import (
     plan_classification,
     run_classification,
 )
-from repro.crawl.shards import CrawlShard
+from repro.crawl.shards import CrawlShard, ShardStage, fold_provenance
 from repro.crawl.site import SiteCrawler, SiteTask, open_site
 from repro.core.classifier import classify_site
 from repro.core.session import LifetimeModel
@@ -213,22 +213,8 @@ class HttpArchiveCrawler(SiteCrawler):
             merge_counts(part.fault_counts, counts)
         return part
 
-    def crawl(
-        self, domains: list[str] | None = None,
-        *, executor: Executor | None = None, cache: StudyCache | None = None,
-        shards: int = 1, plan: list[CrawlShard] | None = None,
-        runlog: "RunContext | None" = None,
-    ) -> HarCorpus:
-        """Crawl ``domains`` (default: the world's CrUX-like sample).
-
-        ``plan`` passes a precomputed :meth:`plan_shards`; see
-        :class:`~repro.crawl.site.SiteCrawler` for ``cache`` and
-        ``runlog``.
-        """
-        if domains is None:
-            domains = self.world.httparchive_sample(seed=self.seed)
-        if plan is None:
-            plan = self.plan_shards(domains, shards=shards, cache=cache)
+    def stage(self, plan: list[CrawlShard]) -> ShardStage:
+        """The crawl of ``plan`` as journal stage ``har-crawl``."""
         browser = BrowserConfig(
             vantage_country=self.vantage_country, observe_s=self.observe_s
         )
@@ -245,20 +231,44 @@ class HttpArchiveCrawler(SiteCrawler):
                 loads_per_site=self.loads_per_site,
             )
 
-        def fold(parts: list[HarCorpus], provenance: str | None) -> HarCorpus:
-            # Shards partition the domain list, so the union is
-            # lossless; everything downstream is order-insensitive (the
-            # digest sorts sites, counters add).
-            merged = HarCorpus(name="httparchive", provenance=provenance)
-            for part in parts:
-                merged.hars.update(part.hars)
-                merged.unreachable.extend(part.unreachable)
-                merge_counts(
-                    merged.fault_counts, tuple(part.fault_counts.items())
-                )
-            return merged
-
-        return self._crawl_stage(
-            "har-crawl", plan, _crawl_one_site, task, self._shard_part, fold,
-            executor=executor, cache=cache, runlog=runlog,
+        return self._stage(
+            "har-crawl", plan, _crawl_one_site, task, self._shard_part
         )
+
+    def fold(
+        self, plan: list[CrawlShard], parts: list[HarCorpus | None]
+    ) -> HarCorpus:
+        """The corpus of ``plan`` from its parts (``None``: quarantined).
+
+        Shards partition the domain list, so the union is lossless;
+        everything downstream is order-insensitive (the digest sorts
+        sites, counters add).
+        """
+        parts = [part for part in parts if part is not None]
+        merged = HarCorpus(
+            name="httparchive",
+            provenance=fold_provenance(self.kind, plan, parts),
+        )
+        for part in parts:
+            merged.hars.update(part.hars)
+            merged.unreachable.extend(part.unreachable)
+            merge_counts(merged.fault_counts, tuple(part.fault_counts.items()))
+        return merged
+
+    def crawl(
+        self, domains: list[str] | None = None,
+        *, executor: Executor | None = None, cache: StudyCache | None = None,
+        shards: int = 1, plan: list[CrawlShard] | None = None,
+        runlog: "RunContext | None" = None,
+    ) -> HarCorpus:
+        """Crawl ``domains`` (default: the world's CrUX-like sample).
+
+        ``plan`` passes a precomputed :meth:`plan_shards`; see
+        :class:`~repro.crawl.site.SiteCrawler` for ``cache`` and
+        ``runlog``.
+        """
+        if domains is None:
+            domains = self.world.httparchive_sample(seed=self.seed)
+        if plan is None:
+            plan = self.plan_shards(domains, shards=shards, cache=cache)
+        return self._crawl(plan, executor=executor, cache=cache, runlog=runlog)

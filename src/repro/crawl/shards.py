@@ -23,15 +23,23 @@ positional in the *full* domain list, so a shard crawled alone must
 schedule its sites exactly where the monolithic crawl would have.
 That is what makes the N-shard fold byte-identical to the monolith.
 
-Both crawls and every dataset's classification run through one
-driver, :func:`run_sharded_stage`; the crawls pass it the study's
-executor, classification a serial one.
+Every sharded stage — a crawl, or one dataset's classification — is a
+:class:`ShardStage`, and one scheduler, :func:`run_stages`, runs any
+set of them: it loads the cached shards in plan order, submits every
+other shard to the executor's stream at once
+(:meth:`repro.runtime.Executor.stream`), and settles each shard as its
+batch lands, in completion order.  A study hands it its three crawls
+and classifies each crawl shard in its own process as the shard lands
+(see :mod:`repro.analysis.study`); a standalone crawl is a one-stage
+run, and classification runs its stage on a serial executor.  Parts
+come back in plan order, so completion order never reaches an output.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.runlog.context import RunContext
 from repro.runtime import shard_items
@@ -41,13 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime import Executor
     from repro.store import StudyCache
 
-T = TypeVar("T")
-R = TypeVar("R")
-P = TypeVar("P")
-O = TypeVar("O")
-
-__all__ = ["CrawlShard", "plan_crawl_shards", "pending_items",
-           "fold_provenance", "run_sharded_stage"]
+__all__ = ["CrawlShard", "ShardStage", "plan_crawl_shards", "pending_items",
+           "fold_provenance", "run_stages"]
 
 
 @dataclass(frozen=True)
@@ -120,49 +123,96 @@ def fold_provenance(
     return keys[0] if len(plan) == 1 else stable_key(f"{kind}-fold", keys)
 
 
-def run_sharded_stage(
-    stage: str,
-    kind: str,
-    plan: Sequence[CrawlShard],
-    fn: Callable[[T], R],
-    tasks: Callable[[CrawlShard], list[T]],
-    part: Callable[[CrawlShard, list[R]], P],
-    fold: Callable[[list[P]], O],
+@dataclass(frozen=True)
+class ShardStage:
+    """One sharded stage: a crawl, or one dataset's classification."""
+
+    #: The stage's name in the run journal.
+    name: str
+    #: Cache namespace of its shard artefacts.
+    kind: str
+    plan: Sequence[CrawlShard]
+    #: The per-item worker, run by the executor over ``tasks(shard)``.
+    fn: Callable[[Any], Any]
+    tasks: Callable[[CrawlShard], list]
+    #: A shard's part, from the shard and its results in task order.
+    part: Callable[[CrawlShard, list], Any]
+    #: Rewrites a task for retry attempt ``n``; ``None`` reuses it.
+    reattempt: Callable[[Any, int], Any] | None = None
+
+
+def run_stages(
+    stages: Sequence[ShardStage],
     *,
     executor: "Executor",
     cache: "StudyCache | None",
-    runlog: RunContext | None,
-    reattempt: Callable[[T, int], T] | None = None,
-) -> O:
-    """Run one sharded stage: probe, execute, cache, journal, fold.
+    runlog: RunContext | None = None,
+    on_land: Callable[[int, CrawlShard, Any], None] | None = None,
+) -> list[list]:
+    """Run the shards of ``stages`` as one stream; their parts by stage.
 
-    ``stage`` names the stage in the run journal, ``kind`` its cache
-    namespace.  Each shard of ``plan`` either loads from ``cache``
-    under its key or runs ``fn`` over ``tasks(shard)`` through
-    ``runlog`` (``reattempt`` rewrites a task for a retry) and becomes
-    ``part(shard, results)``.  A quarantined shard contributes no
-    part; ``fold`` receives the parts in plan order.  Without a
-    ``runlog``, :meth:`RunContext.null` runs each shard as one plain
-    ``executor.map_sites``.
+    Each shard first tries ``cache`` under its key, in plan order.
+    Every shard that misses is journalled as started and submitted to
+    ``executor`` at once, stage by stage except that stages sharing a
+    ``kind`` (sibling crawls of one partition) interleave shard by
+    shard.  As a shard's batch lands, ``runlog`` settles it (retrying
+    or quarantining a failed one), its part is built, cached and
+    journalled finished.  ``on_land(stage index, shard, part)`` then
+    sees it — and sees a cached shard as it loads — with ``None`` for
+    a quarantined shard.
+
+    Returns each stage's parts in plan order, ``None`` where a shard
+    was quarantined.  Any exception closes the stream, which cancels
+    every batch still outstanding, before it propagates.  Without a
+    ``runlog``, :meth:`RunContext.null` raises a failed batch's error.
     """
     runlog = runlog or RunContext.null()
-    parts: list[P] = []
-    for shard in plan:
-        if shard.key is not None and cache is not None:
-            cached = cache.get(kind, shard.key)
-            if cached is not None:
-                runlog.note_cached(stage, shard)
-                parts.append(cached)
+    parts: list[list] = [[None] * len(stage.plan) for stage in stages]
+
+    def land(index: int, position: int, part) -> None:
+        parts[index][position] = part
+        if on_land is not None:
+            on_land(index, stages[index].plan[position], part)
+
+    pending: list[tuple[int, int]] = []
+    for index, stage in enumerate(stages):
+        for position, shard in enumerate(stage.plan):
+            if shard.key is not None and cache is not None:
+                cached = cache.get(stage.kind, shard.key)
+                if cached is not None:
+                    runlog.note_cached(stage.name, shard)
+                    land(index, position, cached)
+                    continue
+            pending.append((index, position))
+    kinds = list(dict.fromkeys(stage.kind for stage in stages))
+    pending.sort(key=lambda node: (
+        kinds.index(stages[node[0]].kind), node[1], node[0]
+    ))
+    tasks = [stages[index].tasks(stages[index].plan[position])
+             for index, position in pending]
+    for index, position in pending:
+        runlog.start_shard(stages[index].name, stages[index].plan[position])
+    batches = [
+        (stages[index].fn, items)
+        for (index, _), items in zip(pending, tasks)
+    ]
+    with closing(executor.stream(batches)) as stream:
+        for landed in stream:
+            index, position = pending[landed.index]
+            stage = stages[index]
+            shard = stage.plan[position]
+            results = runlog.settle_shard(
+                stage.name, shard, landed, stage.fn, tasks[landed.index],
+                executor=executor, reattempt=stage.reattempt,
+            )
+            if results is None:  # poison quarantine: fold without it
+                land(index, position, None)
                 continue
-        results = runlog.run_shard(
-            stage, shard, fn, tasks(shard), executor=executor,
-            reattempt=reattempt,
-        )
-        if results is None:  # poison quarantine: fold without it
-            continue
-        built = part(shard, results)
-        if shard.key is not None and cache is not None:
-            runlog.maybe_rot(stage, shard, cache.put(kind, shard.key, built))
-        runlog.finish_shard(stage, shard)
-        parts.append(built)
-    return fold(parts)
+            built = stage.part(shard, results)
+            if shard.key is not None and cache is not None:
+                runlog.maybe_rot(
+                    stage.name, shard, cache.put(stage.kind, shard.key, built)
+                )
+            runlog.finish_shard(stage.name, shard)
+            land(index, position, built)
+    return parts

@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING, Callable, ClassVar
 from repro.browser.browser import BrowserConfig, ChromiumBrowser
 from repro.crawl.shards import (
     CrawlShard,
-    fold_provenance,
+    ShardStage,
     plan_crawl_shards,
-    run_sharded_stage,
+    run_stages,
 )
 from repro.faults.plan import FaultPlan
 from repro.runtime import Executor, SerialExecutor, ecosystem_for
@@ -83,9 +83,15 @@ class SiteCrawler:
     """Shard keys, shard plans and the crawl stage of one crawler.
 
     Subclasses set ``kind``, their cache namespace, and define
-    ``shard_key(domains, offsets, *run)``; ``run`` is whatever else
-    names one crawl (an :class:`~repro.crawl.alexa.AlexaVariant` for
-    Alexa, nothing for the HTTP Archive).
+    ``shard_key(domains, offsets, *run)``, ``stage(plan, *run)`` (the
+    crawl as a :class:`~repro.crawl.shards.ShardStage`) and
+    ``fold(plan, parts, *run)`` (the crawl's output from its shard
+    parts in plan order, ``None`` for a quarantined shard); ``run`` is
+    whatever else names one crawl (an
+    :class:`~repro.crawl.alexa.AlexaVariant` for Alexa, nothing for the
+    HTTP Archive).  A study schedules its crawls' stages together
+    (:func:`~repro.crawl.shards.run_stages`); a crawl on its own is a
+    one-stage run of the same scheduler.
 
     A crawler keys and plans from its ``world`` index alone.  The full
     world is resolved (see :func:`~repro.runtime.ecosystem_for`) only
@@ -125,34 +131,40 @@ class SiteCrawler:
             contains=lambda key: cache.contains(self.kind, key),
         )
 
-    def _crawl_stage(
-        self, stage: str, plan: list[CrawlShard], visit: Callable,
-        task: Callable[[str, int], SiteTask], part: Callable, fold: Callable,
-        *, executor: Executor | None, cache: "StudyCache | None",
-        runlog: "RunContext | None",
-    ):
-        """Crawl ``plan`` as stage ``stage`` of the shard driver.
+    def _stage(
+        self, name: str, plan: list[CrawlShard], visit: Callable,
+        task: Callable[[str, int], SiteTask], part: Callable,
+    ) -> ShardStage:
+        """The crawl of ``plan`` as journal stage ``name``.
 
         ``visit`` runs in a worker on ``task(domain, schedule slot)``
         for each site (a retry only bumps the task's ``attempt``);
-        ``part`` builds a shard's part from its results, and
-        ``fold(parts, provenance)`` the crawl's output.
+        ``part`` builds a shard's part from its results.
         """
 
         def tasks(shard: CrawlShard) -> list[SiteTask]:
             # Only a shard that misses the cache gets here: build (or
-            # find) the world now, in this process, so serial, thread
-            # and forked workers share it.
+            # find) the world now, in this process, before any task is
+            # submitted, so serial, thread and forked workers share it.
             ecosystem_for(self.world.config)
             return [
                 task(domain, offset)
                 for domain, offset in zip(shard.domains, shard.offsets)
             ]
 
-        return run_sharded_stage(
-            stage, self.kind, plan, visit, tasks, part,
-            lambda parts: fold(parts, fold_provenance(self.kind, plan, parts)),
-            executor=executor or SerialExecutor(), cache=cache,
-            runlog=runlog,
+        return ShardStage(
+            name, self.kind, plan, visit, tasks, part,
             reattempt=lambda retried, n: replace(retried, attempt=n),
         )
+
+    def _crawl(
+        self, plan: list[CrawlShard], *run,
+        executor: Executor | None, cache: "StudyCache | None",
+        runlog: "RunContext | None",
+    ):
+        """A standalone crawl: ``plan`` as a one-stage scheduler run."""
+        (parts,) = run_stages(
+            [self.stage(plan, *run)], executor=executor or SerialExecutor(),
+            cache=cache, runlog=runlog,
+        )
+        return self.fold(plan, parts, *run)

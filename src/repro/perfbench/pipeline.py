@@ -26,9 +26,10 @@ __all__ = ["SCALES", "PipelineRun", "run_pipeline_bench"]
 #: Named benchmark scales.  ``golden`` is the config the regression
 #: snapshots pin; ``smoke`` is small enough for CI; ``stress`` is the
 #: scale where optimization wins actually matter.  The ``-sharded``
-#: twins run the same studies through the shard-and-fold path — their
-#: digests must equal the unsharded entries at the same scale, so the
-#: benchmark history doubles as a standing shard-invariance check.
+#: twins run the same studies through the shard-and-fold path, and
+#: ``golden-pool`` streams them through a process pool — their digests
+#: must equal the unsharded entries at the same scale, so the benchmark
+#: history doubles as a standing shard- and executor-invariance check.
 SCALES: dict[str, StudyConfig] = {
     "smoke": StudyConfig(seed=7, n_sites=60, dns_study_days=0.25),
     "golden": StudyConfig(seed=7, n_sites=120, dns_study_days=0.25),
@@ -38,6 +39,10 @@ SCALES: dict[str, StudyConfig] = {
     ),
     "golden-sharded": StudyConfig(
         seed=7, n_sites=120, dns_study_days=0.25, shards=4
+    ),
+    "golden-pool": StudyConfig(
+        seed=7, n_sites=120, dns_study_days=0.25, shards=4,
+        executor="process:2",
     ),
 }
 

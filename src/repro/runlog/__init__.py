@@ -12,10 +12,10 @@ The run layer makes long studies survivable:
   threads per shard, with poison quarantine and coverage accounting;
 * :mod:`repro.runlog.inspect` — journal listing for ``repro runs``.
 
-With zero failures the layer is provably inert: the happy path is one
-``executor.map_sites`` per shard and the coverage block feeds nothing
-into the digest, so the pinned seed goldens double as the inertness
-differential.
+With zero failures the layer is provably inert: the happy path hands
+each shard's streamed results straight through, and the coverage
+block feeds nothing into the digest, so the pinned seed goldens
+double as the inertness differential.
 """
 
 from repro.runlog.context import RunContext, RunCoverage

@@ -1,21 +1,26 @@
 """The per-run orchestration object threaded through the pipeline.
 
 A :class:`RunContext` owns one run's journal, retry budget and
-quarantine bookkeeping.  Its one per-shard caller is the shard-stage
-driver, :func:`repro.crawl.shards.run_sharded_stage`, which runs both
+quarantine bookkeeping.  Its one per-shard caller is the shard
+scheduler, :func:`repro.crawl.shards.run_stages`, which runs the three
 crawls (journal stages ``har-crawl``, ``alexa-fetch``,
-``alexa-nofetch``) and each dataset's classification
-(``classify-<dataset>``) alike::
+``alexa-nofetch``) as one stream and each dataset's classification
+(``classify-<dataset>``) inline as its crawl shards land::
 
-    if the cache has the shard:  runlog.note_cached(stage, shard)
-    else:
-        results = runlog.run_shard(stage, shard, fn, tasks, ...)
+    for every shard of the plan, in plan order:
+        if the cache has it:  runlog.note_cached(stage, shard)
+        else:                 runlog.start_shard(stage, shard); submit it
+    for every submitted shard, as its batch lands:
+        results = runlog.settle_shard(stage, shard, landed, ...)
         if results is not None:      # None: poison quarantine
             ... build, cache.put, runlog.maybe_rot(stage, shard, path)
             runlog.finish_shard(stage, shard)
 
-Cacheless runs get :meth:`RunContext.null`: no journal, ``run_shard``
-is one plain ``executor.map_sites``, every other hook does nothing.
+So a run journals its cached shards' skips first, then one
+``shard-start`` per submitted shard, then the finishes in completion
+order.  Cacheless runs get :meth:`RunContext.null`: no journal,
+``settle_shard`` raises a failed batch's exception, every other hook
+does nothing.
 
 The study driver closes the loop: it skips classification shards of
 quarantined crawl shards (so no empty dataset is ever cached under a
@@ -24,11 +29,11 @@ digest and reports, and appends the terminal ``run-finish`` record.
 A journal whose last record is not ``run-finish`` is, by definition,
 resumable.
 
-The context is provably inert when nothing fails: per-shard execution
-through :func:`repro.runlog.retry.retry_map` is a plain
-``executor.map_sites`` call on the happy path, coverage with zero
-quarantined shards feeds no extra bytes to the digest, and the seed
-goldens pin all of it.
+The context is provably inert when nothing fails: ``settle_shard``
+hands a landed batch's results straight back, retrying through
+:func:`repro.runlog.retry.recover_chunk` only after a chunk failed,
+coverage with zero quarantined shards feeds no extra bytes to the
+digest, and the seed goldens pin all of it.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from repro.runlog.errors import PoisonShardError
 from repro.runlog.journal import RunJournal, journal_dir, run_id
-from repro.runlog.retry import retry_map
+from repro.runlog.retry import recover_chunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crawl.shards import CrawlShard
+    from repro.runtime.executor import Landed
     from repro.store import StudyCache
 
 T = TypeVar("T")
@@ -163,36 +169,48 @@ class RunContext:
             f"{stage}#{shard.index}"
         )
 
-    def run_shard(
+    def start_shard(self, stage: str, shard: "CrawlShard") -> None:
+        """Record a shard submitted for execution."""
+        self.journal.append({
+            "event": "shard-start", "stage": stage,
+            "key": self._token(stage, shard),
+            "artifact": shard.key, "n_domains": len(shard.domains),
+        })
+
+    def settle_shard(
         self,
         stage: str,
         shard: "CrawlShard",
+        landed: "Landed",
         fn: Callable[[T], R],
         tasks: Sequence[T],
         *,
         executor,
         reattempt: Callable[[T, int], T] | None = None,
     ) -> list[R] | None:
-        """Execute one shard's tasks with retry; ``None`` = quarantined.
+        """A started shard's results from its landed batch; ``None`` =
+        quarantined.
 
-        Fatal (programming) errors and strict-mode failures propagate
-        after a ``shard-failed`` record; poison quarantine appends a
-        ``shard-quarantined`` record and returns ``None`` so the caller
-        folds without the shard.
+        ``landed`` is the shard's batch as the executor's stream
+        yielded it: its results, or the error that failed its chunk
+        attempt, after which :func:`~repro.runlog.retry.recover_chunk`
+        retries item by item.  Fatal (programming) errors and
+        strict-mode failures propagate after a ``shard-failed``
+        record; poison quarantine appends a ``shard-quarantined``
+        record and returns ``None`` so the caller folds without the
+        shard.
         """
+        if landed.error is None:
+            return landed.results
         token = self._token(stage, shard)
-        self.journal.append({
-            "event": "shard-start", "stage": stage, "key": token,
-            "artifact": shard.key, "n_domains": len(shard.domains),
-        })
 
         def on_event(kind: str, detail: dict) -> None:
             self.journal.append({"event": kind, "key": token, **detail})
 
         try:
-            return retry_map(
-                executor, fn, tasks, max_attempts=self.max_attempts, stage=stage,
-                domains=shard.domains, reattempt=reattempt,
+            return recover_chunk(
+                executor, fn, tasks, landed, max_attempts=self.max_attempts,
+                stage=stage, domains=shard.domains, reattempt=reattempt,
                 on_event=on_event,
             )
         except PoisonShardError as error:
@@ -315,14 +333,14 @@ class _NullRunContext(RunContext):
     def __init__(self) -> None:
         pass
 
-    def run_shard(self, stage, shard, fn, tasks, *, executor,
-                  reattempt=None):
-        return executor.map_sites(fn, tasks)
-
-    def finish_shard(self, stage, shard) -> None:
+    def start_shard(self, stage, shard) -> None:
         pass
 
-    note_cached = finish_shard
+    finish_shard = note_cached = start_shard
+
+    def settle_shard(self, stage, shard, landed, fn, tasks, *, executor,
+                     reattempt=None):
+        return landed.result()
 
     def is_quarantined(self, key) -> bool:
         return False

@@ -2,11 +2,15 @@
 
 Every stage of the study pipeline that folds over independent sites —
 the HTTP Archive crawl, the two Alexa crawls, dataset classification —
-is expressed as one call to :meth:`Executor.map_sites`.  Swapping the
+hands its per-site work to an executor as batches, one per shard,
+through :meth:`Executor.stream`, which yields each batch as it lands;
+a study streams all of its crawl shards through one call, and
+:meth:`Executor.map_sites` is the one-batch form.  Swapping the
 executor (serial, thread pool, process pool) changes only wall-clock
 time, never results: per-site work is seeded from ``(seed, site)`` so
-the outcome is independent of scheduling order, which the determinism
-suite locks in with a study digest.
+the outcome is independent of scheduling order, and every fold runs
+in plan order whatever order the batches land in, which the
+determinism suite locks in with a study digest.
 
 The contract covers study *output* — datasets, records, renders,
 digests.  Host-side diagnostic counters on the shared world (e.g.
@@ -17,6 +21,7 @@ are only meaningful after single-threaded use.
 
 from repro.runtime.executor import (
     Executor,
+    Landed,
     ProcessExecutor,
     SerialExecutor,
     TaskTimeoutError,
@@ -37,6 +42,7 @@ from repro.runtime.worker import (
 
 __all__ = [
     "Executor",
+    "Landed",
     "SerialExecutor",
     "TaskTimeoutError",
     "ThreadExecutor",

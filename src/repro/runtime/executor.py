@@ -1,16 +1,23 @@
 """Pluggable executors for per-site fan-out.
 
-The contract of :meth:`Executor.map_sites` is deliberately narrow:
+The primitive is :meth:`Executor.stream`: it takes *batches* — a
+worker function and its items, one batch per shard — and yields each
+batch as it lands (:class:`Landed`: its results, or the exception
+that failed it).  Within a batch the contract is deliberately narrow:
 
 * ``fn`` is a pure function of one item (for :class:`ProcessExecutor`
   it must be picklable, i.e. defined at module level);
 * results come back **in input order**, regardless of which worker
   finished first;
-* an empty item list yields an empty result list;
-* exceptions raised by ``fn`` propagate to the caller.
+* an empty batch lands with an empty result list;
+* an exception raised by ``fn`` fails its batch and lands as the
+  batch's ``error``; the other batches run on.
 
-Those four properties are what let the crawl stages swap executors
-without changing a single byte of study output.
+Batches land in completion order, which the caller must not let reach
+its output: the shard scheduler (:mod:`repro.crawl.shards`) folds in
+plan order.  :meth:`Executor.map_sites` is the one-batch call that
+raises the exception instead.  Those properties are what let the crawl
+stages swap executors without changing a single byte of study output.
 """
 
 from __future__ import annotations
@@ -20,19 +27,23 @@ import os
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import (
-    FIRST_EXCEPTION,
+    FIRST_COMPLETED,
     BrokenExecutor,
+    CancelledError,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
-from typing import Callable, Sequence, TypeVar
+from contextlib import closing
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = [
     "Executor",
+    "Landed",
     "SerialExecutor",
     "TaskTimeoutError",
     "ThreadExecutor",
@@ -106,19 +117,58 @@ def _run_chunk(fn: Callable[[T], R], chunk: list[T]) -> list[R]:
     return [fn(item) for item in chunk]
 
 
+#: One batch handed to :meth:`Executor.stream`: a worker and its items.
+Batch = tuple[Callable[[T], R], Sequence[T]]
+
+
+@dataclass
+class Landed:
+    """One batch of :meth:`Executor.stream`, landed."""
+
+    #: The batch's position in the submitted sequence.
+    index: int
+    #: Its results in input order (``None`` when it failed).
+    results: list | None = None
+    #: The exception that failed it (``None`` when it succeeded).
+    error: Exception | None = None
+
+    def result(self) -> list:
+        """The results; raises the batch's own exception if it failed."""
+        if self.error is not None:
+            raise self.error
+        return self.results
+
+
 class Executor(ABC):
-    """Maps a function over independent per-site work items."""
+    """Maps functions over independent per-site work items."""
 
     name: str = "abstract"
     #: No-progress watchdog window in seconds; only pool executors arm one.
     task_timeout: float | None = None
 
     @abstractmethod
+    def stream(
+        self, batches: Sequence[Batch], *, chunk_size: int | None = None,
+    ) -> Iterator[Landed]:
+        """Run every batch; yield each one as it lands.
+
+        A :class:`Landed` batch carries its results in input order, or
+        the exception that failed it.  Every batch lands exactly once,
+        in completion order.  Closing the generator early cancels every
+        batch that has not landed yet.
+        """
+
     def map_sites(
         self, fn: Callable[[T], R], items: Sequence[T],
         *, chunk_size: int | None = None,
     ) -> list[R]:
-        """Apply ``fn`` to every item, returning results in input order."""
+        """Apply ``fn`` to every item, returning results in input order.
+
+        One batch through :meth:`stream`; ``fn``'s exception is raised.
+        """
+        with closing(self.stream([(fn, items)], chunk_size=chunk_size)) as stream:
+            (landed,) = stream
+        return landed.result()
 
     def close(self) -> None:
         """Release worker resources (idempotent)."""
@@ -134,22 +184,34 @@ class Executor(ABC):
 
 
 class SerialExecutor(Executor):
-    """Runs everything inline on the calling thread (the baseline)."""
+    """Runs everything inline on the calling thread (the baseline).
+
+    A batch runs when the consumer asks for the next one, so batches
+    land in submission order.
+    """
 
     name = "serial"
 
-    def map_sites(
-        self, fn: Callable[[T], R], items: Sequence[T],
-        *, chunk_size: int | None = None,
-    ) -> list[R]:
-        return [fn(item) for item in items]
+    def stream(
+        self, batches: Sequence[Batch], *, chunk_size: int | None = None,
+    ) -> Iterator[Landed]:
+        for index, (fn, items) in enumerate(batches):
+            landed = Landed(index)
+            try:
+                landed.results = [fn(item) for item in items]
+            except Exception as error:
+                landed.error = error
+            yield landed
+
+    # Bound on the class itself: benchmark tracers wrap it per class.
+    map_sites = Executor.map_sites
 
 
 class _PoolExecutor(Executor):
     """Shared chunk-submission logic for the pool-backed executors.
 
     One instance may be shared by concurrent callers (the serve layer
-    runs many requests through one executor).  Each ``map_sites``
+    runs many requests through one executor).  Each ``stream``
     *leases* the pool under a lock: the pool plus a generation counter.
     A caller that finds its pool broken (or wedged past the watchdog)
     retires **its own generation only** — if another caller already
@@ -169,9 +231,10 @@ class _PoolExecutor(Executor):
         self.max_workers = max_workers if max_workers is not None \
             else default_workers()
         self.chunk_size = chunk_size
-        #: Watchdog window in seconds: a map_sites that completes no new
-        #: chunk for one full window raises TaskTimeoutError.  None (the
-        #: default) waits forever — the exact pre-watchdog behaviour.
+        #: Watchdog window in seconds: a stream during which the pool
+        #: completes no chunk for one full window fails its outstanding
+        #: batches with TaskTimeoutError.  None (the default) waits
+        #: forever.
         self.task_timeout = task_timeout
         # thread-safe: _pool/_generation are only read or swapped inside
         # ``with self._pool_lock`` (see _lease/_retire/close); pool
@@ -180,6 +243,10 @@ class _PoolExecutor(Executor):
         self._pool = None
         self._generation = 0
         self._pool_lock = threading.Lock()
+        # thread-safe: bumped by future callbacks (pool threads) under
+        # its own lock; the watchdog only compares two reads.
+        self._chunks_done = 0
+        self._progress_lock = threading.Lock()
 
     def _make_pool(self):
         raise NotImplementedError
@@ -218,106 +285,139 @@ class _PoolExecutor(Executor):
         # per-chunk submission overhead.
         return max(1, math.ceil(n_items / (self.max_workers * 4)))
 
-    def map_sites(
-        self, fn: Callable[[T], R], items: Sequence[T],
-        *, chunk_size: int | None = None,
-    ) -> list[R]:
-        items = list(items)
-        if not items:
-            return []
-        size = chunk_size if chunk_size is not None else (
-            self._effective_chunk_size(len(items))
-        )
-        chunks = chunk_items(items, size)
-        pool, generation = self._lease()
-        futures: list = []
-        try:
-            futures.extend(
-                pool.submit(_run_chunk, fn, chunk) for chunk in chunks
-            )
-            # Block until everything finished OR any chunk raised —
-            # not merely until the *input-order-first* chunk resolved,
-            # which would let a failure in a late chunk keep the whole
-            # queue churning behind a slow early chunk.
-            self._wait_for_progress(futures, pool, generation)
-            failed = next(
-                (
-                    future for future in futures
-                    if future.done() and not future.cancelled()
-                    and future.exception() is not None
-                ),
-                None,
-            )
-            if failed is None:
-                return [
-                    result for future in futures for result in future.result()
-                ]
-            # A failing chunk dooms the whole map: cancel everything
-            # still queued so workers stop burning through chunks whose
-            # results can never be used, then surface the original
-            # error — fn's own exception, input-order-first among the
-            # failures observed when the wait woke up.  (Which failure
-            # that is can depend on scheduling when several chunks
-            # fail; fail-fast cancellation and a fully deterministic
-            # choice are mutually exclusive, and callers abort on any
-            # of them.)
-            for pending in futures:
-                pending.cancel()
-            failed.result()  # re-raises fn's exception with its chain
-            raise AssertionError("unreachable: failed future had no error")
-        except BrokenExecutor:
-            # The pool itself died (worker killed, unpicklable error in
-            # a spawned process, ...): retire *this lease's* pool so the
-            # next map_sites starts from a fresh, working one.  A
-            # concurrent caller that already rebuilt keeps its new pool
-            # — the old close()-on-failure path would have destroyed it
-            # and silently dropped that caller's futures.
-            for pending in futures:
-                pending.cancel()
-            self._retire(generation, pool)
-            raise
+    def _chunk_done(self, _future) -> None:
+        with self._progress_lock:
+            self._chunks_done += 1
 
-    def _wait_for_progress(self, futures: list, pool, generation: int) -> None:
-        """``wait(FIRST_EXCEPTION)``, optionally under the watchdog.
+    def stream(
+        self, batches: Sequence[Batch], *, chunk_size: int | None = None,
+    ) -> Iterator[Landed]:
+        """Submit every batch's chunks at once; yield batches as they land.
 
-        With a ``task_timeout``, waits in windows of that many seconds;
-        a window in which **no** additional chunk completed (two for a
-        map whose very first chunks hang) discards the pool and raises
-        :class:`TaskTimeoutError`.  Progress-based rather than
-        per-chunk-deadline, so slow-but-moving maps never trip it.
+        A chunk that raises fails its batch at once: the batch's other
+        chunks are cancelled and the rest of the stream runs on.  A
+        broken pool (a worker died) is retired and fails every batch
+        still in flight; so does the watchdog, when the pool completes
+        no chunk for a whole ``task_timeout`` window (two before this
+        stream's first chunk lands).
         """
-        if self.task_timeout is None:
-            wait(futures, return_when=FIRST_EXCEPTION)
-            return
-        completed = -1
-        while True:
-            done, not_done = wait(
-                futures, timeout=self.task_timeout,
-                return_when=FIRST_EXCEPTION,
-            )
-            if not not_done:
+        pool, generation = self._lease()
+        #: Batch index -> its chunk futures, for batches not landed yet.
+        waiting: dict[int, list] = {}
+        owner: dict = {}
+        try:
+            try:
+                for index, (fn, items) in enumerate(batches):
+                    items = list(items)
+                    size = chunk_size if chunk_size is not None else (
+                        self._effective_chunk_size(len(items))
+                    )
+                    futures = waiting[index] = []
+                    for chunk in chunk_items(items, size):
+                        future = pool.submit(_run_chunk, fn, chunk)
+                        future.add_done_callback(self._chunk_done)
+                        futures.append(future)
+                        owner[future] = index
+            except BrokenExecutor as error:
+                # The pool was dead before this stream could use it.
+                self._retire(generation, pool)
+                waiting.clear()
+                for index in range(len(batches)):
+                    yield Landed(index, error=error)
                 return
-            if any(
-                future.done() and not future.cancelled()
-                and future.exception() is not None
-                for future in done
-            ):
-                return  # the FIRST_EXCEPTION path: let the caller scan
-            if len(done) == completed:
+            for index in [index for index, futures in waiting.items()
+                          if not futures]:
+                del waiting[index]
+                yield Landed(index, results=[])
+            outstanding = set(owner)
+            landed_any = False
+            stalled = 0
+            progress = self._chunks_done
+            while waiting:
+                done, outstanding = wait(
+                    outstanding, timeout=self.task_timeout,
+                    return_when=FIRST_COMPLETED,
+                )
+                if not done:
+                    if self._chunks_done != progress:
+                        progress = self._chunks_done
+                        stalled = 0
+                        continue
+                    stalled += 1
+                    if stalled < (1 if landed_any else 2):
+                        continue
+                    self._retire(generation, pool)
+                    error = TaskTimeoutError(
+                        f"no task progress for {self.task_timeout} s "
+                        f"({len(outstanding)} chunk(s) outstanding)"
+                    )
+                    for index in list(waiting):
+                        del waiting[index]
+                        yield Landed(index, error=error)
+                    return
+                landed_any = True
+                stalled = 0
+                progress = self._chunks_done
+                broken = None
+                for index in sorted({owner[future] for future in done}):
+                    futures = waiting.get(index)
+                    if futures is None:
+                        continue  # this batch already failed
+                    error = next(
+                        (error for error in map(_failure, futures)
+                         if error is not None),
+                        None,
+                    )
+                    if isinstance(error, BrokenExecutor):
+                        broken = error
+                    elif error is not None:
+                        del waiting[index]
+                        for pending in futures:
+                            pending.cancel()
+                        outstanding.difference_update(futures)
+                        yield Landed(index, error=error)
+                    elif all(future.done() for future in futures):
+                        del waiting[index]
+                        yield Landed(index, results=[
+                            result for future in futures
+                            for result in future.result()
+                        ])
+                if broken is not None:
+                    # The pool itself died (worker killed, unpicklable
+                    # error in a spawned process, ...): every batch on
+                    # it is lost.  Retire *this lease's* pool so the
+                    # next caller starts from a fresh one; a concurrent
+                    # caller that already rebuilt keeps its new pool.
+                    self._retire(generation, pool)
+                    for index in list(waiting):
+                        del waiting[index]
+                        yield Landed(index, error=broken)
+        finally:
+            for futures in waiting.values():
                 for pending in futures:
                     pending.cancel()
-                self._retire(generation, pool)
-                raise TaskTimeoutError(
-                    f"no task progress for {self.task_timeout} s "
-                    f"({len(not_done)} chunk(s) outstanding)"
-                )
-            completed = len(done)
+
+    # Bound on the class itself: benchmark tracers wrap it per class.
+    map_sites = Executor.map_sites
 
     def close(self) -> None:
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown()
+
+
+def _failure(future) -> Exception | None:
+    """A chunk's exception: ``None`` while it runs or when it succeeded.
+
+    A cancelled chunk fails with :class:`CancelledError`: only a
+    retired pool cancels the chunks of a batch still waiting.
+    """
+    if not future.done():
+        return None
+    if future.cancelled():
+        return CancelledError("chunk cancelled: its pool was retired")
+    return future.exception()
 
 
 class ThreadExecutor(_PoolExecutor):

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-__all__ = ["StageTiming", "StageTimings"]
+__all__ = ["StageTiming", "StageTimings", "StageWindow"]
 
 
 @dataclass
@@ -43,6 +43,12 @@ class StageTiming:
 class StageTimings:
     """Ordered wall-clock record of one pipeline run.
 
+    A stage is timed either as a block (:meth:`stage`) or as a window
+    (:meth:`open`): a window starts when its first shard is submitted
+    and ends at its last :meth:`StageWindow.land`, so the windows of
+    stages that run as one stream overlap, and their seconds may sum
+    to more than the run's wall clock.
+
     With ``memory=True`` every stage additionally records its peak
     Python heap allocation via :mod:`tracemalloc`.  Tracing costs real
     time (allocation bookkeeping slows the interpreter noticeably), so
@@ -60,53 +66,51 @@ class StageTimings:
     observer: Callable[[str, int | None], None] | None = field(
         default=None, repr=False, compare=False,
     )
-    #: Per-active-stage maximum peaks; makes nested stages correct:
-    #: ``reset_peak`` is process-global, so before a child stage resets
-    #: it, the parent's window peak is banked here, and the child's
-    #: final peak is folded back into the parent on exit.
-    _peak_stack: list[int] = field(default_factory=list, repr=False)
+    #: The stages being timed.  ``reset_peak`` is process-global, so
+    #: every sample banks the peak since the last one into each open
+    #: stage before resetting it; nested and overlapping stages alike
+    #: keep their own maximum.
+    _open: list["StageWindow"] = field(default_factory=list, repr=False)
+    _owns_tracing: bool = field(default=False, repr=False)
+
+    def open(self, name: str, *, items: int | None = None) -> "StageWindow":
+        """Start a stage window, listed now, after telling the observer."""
+        window = self._begin(name, items)
+        self.stages.append(window.timing)
+        return window
 
     @contextmanager
     def stage(self, name: str, *, items: int | None = None) -> Iterator[None]:
-        """Time one stage, after telling the observer it starts."""
-        if self.observer is not None:
-            self.observer(name, items)
-        peak_kb: int | None = None
-        owns_tracing = False
-        if self.memory:
-            if tracemalloc.is_tracing():
-                if self._peak_stack:
-                    self._peak_stack[-1] = max(
-                        self._peak_stack[-1],
-                        tracemalloc.get_traced_memory()[1],
-                    )
-            else:
-                tracemalloc.start()
-                owns_tracing = True
-            tracemalloc.reset_peak()
-            self._peak_stack.append(0)
-        passes_before = _gc_passes()
-        started = time.perf_counter()
+        """Time one block as a stage, listed when it ends."""
+        window = self._begin(name, items)
         try:
             yield
         finally:
-            seconds = time.perf_counter() - started
-            gc_passes = _gc_passes() - passes_before
-            if self.memory:
-                window_peak = tracemalloc.get_traced_memory()[1]
-                peak = max(self._peak_stack.pop(), window_peak)
-                peak_kb = peak // 1024
-                if self._peak_stack:
-                    # Peak during a child is also peak during its parent.
-                    self._peak_stack[-1] = max(self._peak_stack[-1], peak)
-                if owns_tracing:
-                    tracemalloc.stop()
-            self.stages.append(
-                StageTiming(
-                    name=name, seconds=seconds, items=items, peak_kb=peak_kb,
-                    gc_passes=gc_passes,
-                )
-            )
+            window.land()
+            window.close()
+            self.stages.append(window.timing)
+
+    def _begin(self, name: str, items: int | None) -> "StageWindow":
+        if self.observer is not None:
+            self.observer(name, items)
+        if self.memory:
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+                self._owns_tracing = True
+            self._sample()
+        window = StageWindow(self, StageTiming(name=name, seconds=0.0,
+                                               items=items))
+        self._open.append(window)
+        return window
+
+    def _sample(self) -> None:
+        """Bank the heap peak since the last sample into open stages."""
+        if not self.memory or not tracemalloc.is_tracing():
+            return
+        peak = tracemalloc.get_traced_memory()[1]
+        for window in self._open:
+            window.peak = max(window.peak, peak)
+        tracemalloc.reset_peak()
 
     @classmethod
     def merged(cls, runs: Iterable["StageTimings"]) -> "StageTimings":
@@ -142,6 +146,7 @@ class StageTimings:
 
     @property
     def total_seconds(self) -> float:
+        """The stages' seconds summed; overlapping windows count twice."""
         return sum(stage.seconds for stage in self.stages)
 
     def seconds_for(self, name: str) -> float:
@@ -173,8 +178,38 @@ class StageTimings:
             lines.append(
                 f"  {stage.name:<{width}}  {stage.seconds:>8.3f} s{memory}{suffix}"
             )
-        lines.append(f"  {'total':<{width}}  {self.total_seconds:>8.3f} s")
+        lines.append(f"  {'sum':<{width}}  {self.total_seconds:>8.3f} s")
         return "\n".join(lines)
+
+
+class StageWindow:
+    """One stage being timed (see :meth:`StageTimings.open`)."""
+
+    def __init__(self, timings: StageTimings, timing: StageTiming) -> None:
+        self.timings = timings
+        self.timing = timing
+        self.peak = 0
+        self._passes = _gc_passes()
+        self._started = time.perf_counter()
+
+    def land(self) -> None:
+        """Extend the window to now: a shard of the stage landed."""
+        self.timing.seconds = time.perf_counter() - self._started
+        self.timing.gc_passes = _gc_passes() - self._passes
+        self.timings._sample()
+
+    def close(self, *, items: int | None = None) -> None:
+        """Stop timing; ``items`` replaces a count not known at start."""
+        timings = self.timings
+        timings._sample()
+        timings._open.remove(self)
+        if items is not None:
+            self.timing.items = items
+        if timings.memory:
+            self.timing.peak_kb = self.peak // 1024
+            if not timings._open and timings._owns_tracing:
+                tracemalloc.stop()
+                timings._owns_tracing = False
 
 
 def _gc_passes() -> int:

@@ -13,6 +13,7 @@ Cells that ablate away datasets the headline needs (e.g. an
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -215,6 +216,7 @@ def run_sweep(
         for index, cell in enumerate(cells):
             timings = StageTimings()
             before = cache.total_stats() if cache is not None else None
+            started = time.perf_counter()
             if per_cell_executors:
                 with make_executor(
                     cell.config.executor, cell.config.parallelism,
@@ -230,13 +232,13 @@ def run_sweep(
                     cell.config, executor=shared, timings=timings, cache=cache,
                     resume=resume, strict=strict,
                 )
+            wall = time.perf_counter() - started
             summary = summarize_cell(cell, study, timings)
             result.cells.append(summary)
             if progress is not None:
                 line = (
                     f"[{index + 1}/{len(cells)}] {cell.label()}  "
-                    f"digest={summary.digest[:12]}  "
-                    f"{timings.total_seconds:.2f} s"
+                    f"digest={summary.digest[:12]}  {wall:.2f} s"
                 )
                 if before is not None:
                     # Per-shard cache keys make this the incremental-

@@ -113,10 +113,6 @@ class Resource:
         for child in self.children:
             yield from child.walk()
 
-    def count(self) -> int:
-        """Total number of resources in the subtree."""
-        return sum(1 for _ in self.walk())
-
     def domains(self) -> set[str]:
         """All distinct domains referenced in the subtree."""
         return {resource.domain for resource in self.walk()}

@@ -79,7 +79,14 @@ def test_out_of_range_grid_values_exit_2(capsys, axis, line):
     (["evolve", "--sites", "20"],
      "error: evolve needs --policy (e.g. cert-rotation, dns-churn, "
      "cdn-migration, shard-consolidation, mixed)"),
-], ids=["resilience", "h3", "evolve"])
+    (["audit", "--sites", "0"], "error: n_sites must be >= 1, got 0"),
+    (["dnsstudy", "--sites", "0"], "error: n_sites must be >= 1, got 0"),
+    (["mitigations", "--sites", "0"], "error: n_sites must be >= 1, got 0"),
+    (["dnsstudy", "--days", "-1", "--sites", "30"],
+     "error: dns_study_days must be >= 0, got -1.0"),
+], ids=["resilience", "h3", "evolve", "audit-zero-sites",
+        "dnsstudy-zero-sites", "mitigations-zero-sites",
+        "dnsstudy-negative-days"])
 def test_missing_scenario_exits_2(capsys, argv, line):
     assert _exit_code(argv) == 2
     assert capsys.readouterr().err == line + "\n"

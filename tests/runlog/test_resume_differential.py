@@ -142,3 +142,90 @@ class TestKillAndResume:
         # Every shard the interrupted run finished was skipped on
         # resume via its journalled cache key, not recomputed.
         assert len(journal_skips) >= finished_before
+
+
+# The streamed pool path: crawl shards run as one stream on a 2-process
+# pool and each is classified in the driver as it lands.
+STREAM_CONFIG = StudyConfig(seed=7, n_sites=120, shards=4)
+STREAM_CLI = [
+    sys.executable, "-m", "repro", "study",
+    "--sites", "120", "--shards", "4", "--seed", "7",
+    "--executor", "process:2", "--headline",
+]
+#: Crawl shards of STREAM_CONFIG: 3 crawls of 4 shards.
+STREAM_CRAWL_SHARDS = 12
+
+
+def _finishes(path: Path) -> tuple[int, int]:
+    """``(crawl, classify)`` shard-finish records journalled so far."""
+    finishes = [
+        record["stage"] for record in load_records(path)
+        if record["event"] == "shard-finish"
+    ]
+    classify = sum(stage.startswith("classify-") for stage in finishes)
+    return len(finishes) - classify, classify
+
+
+def _kill_after_first_classification(cache_dir: Path) -> bool:
+    """Start the streamed study and SIGKILL it, pool included, once a
+    classify shard has finished.  True if crawl shards were still in
+    flight when it died."""
+    path = cache_dir / "runs" / f"{run_id(STREAM_CONFIG)}.jsonl"
+    proc = subprocess.Popen(
+        STREAM_CLI + ["--cache-dir", str(cache_dir)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=_env(), cwd=REPO_ROOT, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 90.0
+        while time.monotonic() < deadline:
+            if proc.poll() is not None:
+                return False  # completed before we could kill it
+            if path.exists() and _finishes(path)[1] >= 1:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                break
+            time.sleep(0.005)
+        else:
+            pytest.fail("study subprocess finished no classify shard "
+                        "within 90s")
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    crawled, classified = _finishes(path)
+    return classified >= 1 and crawled < STREAM_CRAWL_SHARDS
+
+
+@pytest.mark.slow
+class TestKillMidStreamAndResume:
+    def test_killed_stream_resumes_to_an_identical_digest(
+        self, tmp_path_factory
+    ):
+        reference = study_digest(Study.run(
+            STREAM_CONFIG, cache=StudyCache(tmp_path_factory.mktemp("ref"))
+        ))
+        for _ in range(3):
+            cache_dir = tmp_path_factory.mktemp("killed")
+            if _kill_after_first_classification(cache_dir):
+                break
+        else:
+            pytest.skip("the crawls finished before the kill could land "
+                        "on three consecutive tries")
+
+        path = cache_dir / "runs" / f"{run_id(STREAM_CONFIG)}.jsonl"
+        assert "run-finish" not in [r["event"] for r in load_records(path)]
+        finished_before = sum(_finishes(path))
+
+        resumed = Study.run(
+            STREAM_CONFIG, cache=StudyCache(cache_dir), resume=True
+        )
+        assert study_digest(resumed) == reference
+        assert resumed.coverage is not None and resumed.coverage.complete
+        records = load_records(path)
+        assert records[-1]["event"] == "run-finish"
+        journal_skips = [
+            r for r in records
+            if r["event"] == "shard-skip" and r.get("reason") == "journal"
+        ]
+        assert len(journal_skips) >= finished_before

@@ -30,14 +30,18 @@ def serial_study() -> Study:
 
 
 class _RecordingExecutor(SerialExecutor):
-    """A serial executor that records every function it is handed."""
+    """A serial executor that records every function it is handed.
+
+    Records at :meth:`stream`, the primitive ``map_sites`` calls too,
+    so no batch reaches the executor unrecorded.
+    """
 
     def __init__(self) -> None:
         self.functions: set = set()
 
-    def map_sites(self, fn, items, *, chunk_size=None):
-        self.functions.add(fn)
-        return super().map_sites(fn, items, chunk_size=chunk_size)
+    def stream(self, batches, *, chunk_size=None):
+        self.functions.update(fn for fn, _ in batches)
+        return super().stream(batches, chunk_size=chunk_size)
 
 
 class TestOnlyCrawlsReachTheExecutor:

@@ -291,3 +291,107 @@ class TestTaskWatchdog:
 
     def test_default_is_disarmed(self):
         assert ThreadExecutor(2).task_timeout is None
+
+
+class TestStream:
+    """``Executor.stream``: batches land as they complete."""
+
+    @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
+    def test_every_batch_lands_once_with_its_outcome(self, factory):
+        with factory() as executor:
+            landed = list(executor.stream([
+                (_square, [1, 2, 3]), (_fault_at_three, [2, 3]),
+                (_square, []), (_square, list(range(9))),
+            ]))
+        by_index = {batch.index: batch for batch in landed}
+        assert sorted(by_index) == [0, 1, 2, 3]
+        assert by_index[0].results == [1, 4, 9]
+        assert isinstance(by_index[1].error, _InjectedFault)
+        assert by_index[1].results is None
+        assert by_index[2].results == []
+        assert by_index[3].result() == [value * value for value in range(9)]
+        with pytest.raises(_InjectedFault):
+            by_index[1].result()
+
+    def test_serial_batches_land_in_submission_order(self):
+        landed = SerialExecutor().stream([(_square, [n]) for n in range(5)])
+        assert [batch.index for batch in landed] == [0, 1, 2, 3, 4]
+
+    def test_pool_batches_land_in_completion_order(self):
+        def slow(value: int) -> int:
+            time.sleep(0.3)
+            return value
+
+        with ThreadExecutor(2) as executor:
+            landed = [batch.index for batch in executor.stream(
+                [(slow, [0]), (_square, [1])]
+            )]
+        assert landed == [1, 0]
+
+    def test_failed_batch_does_not_stop_the_others(self):
+        # Only the failing batch's own chunks are cancelled.
+        with ThreadExecutor(2) as executor:
+            landed = {batch.index: batch for batch in executor.stream(
+                [(_boom, [0]), *[(_square, [n]) for n in range(1, 20)]],
+                chunk_size=1,
+            )}
+        assert isinstance(landed.pop(0).error, RuntimeError)
+        assert {index: batch.results for index, batch in landed.items()} == {
+            n: [n * n] for n in range(1, 20)
+        }
+
+    def test_closing_the_stream_cancels_outstanding_batches(self):
+        executed = []
+        lock = threading.Lock()
+
+        def work(value: int) -> int:
+            with lock:
+                executed.append(value)
+            time.sleep(0.01)
+            return value
+
+        with ThreadExecutor(1) as executor:
+            stream = executor.stream([(work, [n]) for n in range(40)])
+            first = next(stream)
+            stream.close()
+        assert first.results == [first.index]
+        # The single worker may race a batch or two past the close,
+        # but the queued batches are cancelled, never run.
+        assert len(executed) < 10
+
+    def test_broken_pool_fails_every_batch_in_flight(self):
+        with ProcessExecutor(2) as executor:
+            landed = {batch.index: batch for batch in executor.stream(
+                [(_kill_worker, [0, 1, 2]), (_square, list(range(50)))],
+                chunk_size=1,
+            )}
+            assert isinstance(landed[0].error, BrokenExecutor)
+            # The other batch was lost with the pool, unless every one
+            # of its chunks finished before the worker died.
+            assert isinstance(landed[1].error, BrokenExecutor) or (
+                landed[1].results == [n * n for n in range(50)]
+            )
+            # The dead pool was retired: the next stream gets a fresh one.
+            assert executor.map_sites(_square, [3]) == [9]
+
+    def test_watchdog_fires_on_a_wedged_stream(self):
+        release = threading.Event()
+
+        def stall(value: int) -> int:
+            release.wait(timeout=10)
+            return value
+
+        executor = ThreadExecutor(2, task_timeout=0.2)
+        try:
+            landed = list(executor.stream(
+                [(_square, [1, 2]), (stall, [0]), (stall, [1])],
+                chunk_size=1,
+            ))
+        finally:
+            release.set()
+        by_index = {batch.index: batch for batch in landed}
+        assert by_index[0].results == [1, 4]
+        assert all(isinstance(by_index[index].error, TaskTimeoutError)
+                   for index in (1, 2))
+        assert executor.map_sites(_square, [2, 3]) == [4, 9]
+        executor.close()

@@ -47,5 +47,5 @@ class TestResource:
         root = Resource(domain="a.com", path="/1", rtype=ResourceType.DOCUMENT,
                         children=[mid])
         assert [r.path for r in root.walk()] == ["/1", "/2", "/3"]
-        assert root.count() == 3
+        assert sum(1 for _ in root.walk()) == 3
         assert root.domains() == {"a.com", "b.com", "c.com"}
