@@ -23,13 +23,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Callable
+from typing import Any, Callable, Sequence
 
 from repro.crawl.alexa import AlexaCrawler, AlexaRun, AlexaVariant
-from repro.crawl.classify import ClassifiedDataset, merge_classified_datasets
+from repro.crawl.classify import (
+    ClassifiedDataset,
+    classify_cache_key,
+    merge_classified_datasets,
+)
 from repro.crawl.httparchive import HarCorpus, HttpArchiveCrawler
 from repro.crawl.overlap import overlap_datasets
-from repro.crawl.shards import CrawlShard, pending_items, run_stages
+from repro.crawl.shards import (
+    ON_DISK,
+    CrawlShard,
+    ShardStage,
+    pending_items,
+    run_stages,
+)
 from repro.core.session import LifetimeModel
 from repro.evolve.policy import POLICIES
 from repro.faults.plan import FAULTS
@@ -38,6 +48,7 @@ from repro.dnsstudy.study import DnsLoadBalancingStudy, DnsStudyResult
 from repro.runlog import RunContext, RunCoverage
 from repro.runtime import (
     Executor,
+    SerialExecutor,
     StageTimings,
     ecosystem_for,
     make_executor,
@@ -47,7 +58,7 @@ from repro.runtime import (
 from repro.runtime.executor import parse_executor_spec
 from repro.runtime.gcpause import collector_paused
 from repro.runtime.profile import StageWindow
-from repro.store import StudyCache
+from repro.store import StudyCache, stable_key
 from repro.util.scenario import merge_counts
 from repro.web.ecosystem import Ecosystem, EcosystemConfig, WorldIndex
 
@@ -219,6 +230,12 @@ _ALEXA_DATASETS = (
 )
 
 
+def _share_key(shards: Sequence[CrawlShard]) -> str:
+    """The ``alexa-share`` key of one Alexa shard index: its crawl shard
+    keys, one per crawled variant in variant order."""
+    return stable_key("alexa-share", *(shard.key for shard in shards))
+
+
 class _ClassifyNodes:
     """A study's classify nodes, run in its process as crawl shards land.
 
@@ -234,6 +251,13 @@ class _ClassifyNodes:
     one-shard plan, so it has the key and journal stage of the
     whole-dataset plan's shard; partials fold in plan order, so the
     order shards land in never reaches a dataset.
+
+    A crawl shard that :meth:`plan` marks lazy lands :data:`ON_DISK`:
+    its classify nodes load from the cache by key, and only a node that
+    misses there loads the crawl shard (through ``crawls``) and
+    classifies it.  An Alexa share is cached as a sidecar (kind
+    ``alexa-share``) the first time it is computed, so a later run can
+    key the shard's classify nodes without loading its crawl shards.
     """
 
     def __init__(self, config: StudyConfig, variants: list[str],
@@ -241,43 +265,110 @@ class _ClassifyNodes:
                  cache: StudyCache | None, runlog: RunContext) -> None:
         self.har_models = [LifetimeModel(value) for value in config.har_models]
         self.variants = variants
+        self.alexa_datasets = [
+            dataset for dataset in _ALEXA_DATASETS if dataset[0] in variants
+        ]
         self.asdb = index.asdb
         self.timings = timings
         self.cache = cache
         self.runlog = runlog
+        #: Loads a lazy crawl shard's part (set before the run).
+        self.crawls: _Crawls | None = None
         #: Dataset name -> {crawl shard index: partial dataset}.
         self.partials: dict[str, dict[int, ClassifiedDataset]] = {}
         #: Alexa shard index -> {variant: (crawl shard, part or None)},
         #: until every variant's shard has landed.
-        self.alexa: dict[int, dict[str, tuple[CrawlShard, AlexaRun | None]]] = {}
+        self.alexa: dict[int, dict[str, tuple[CrawlShard, Any]]] = {}
+        #: Alexa shard index -> its sorted share of the common sites.
+        self.shares: dict[int, list[str]] = {}
         self.window: StageWindow | None = None
         self.items = 0
 
-    def har_landed(self, shard: CrawlShard, corpus: HarCorpus | None) -> None:
+    def plan(
+        self, ha_plan: list[CrawlShard],
+        alexa_plans: dict[str, list[CrawlShard]],
+    ) -> tuple[list[CrawlShard], dict[str, list[CrawlShard]]]:
+        """The crawl plans with every shard no classify node reads lazy.
+
+        A crawl shard is lazy when it and every classify node it feeds
+        are cached.  An Alexa classify key hashes the shard's share of
+        the common sites, so an Alexa shard index is probed only when
+        every variant's shard is cached and its sidecar holds the share.
+        """
+        if self.cache is None:
+            return ha_plan, alexa_plans
+        ha_plan = [
+            replace(shard, lazy=True) if shard.cached and all(
+                self._cached(_har_key(shard, model))
+                for model in self.har_models
+            ) else shard
+            for shard in ha_plan
+        ]
+        lazy: set[int] = set()
+        for shards in zip(*alexa_plans.values()):
+            if not all(shard.cached for shard in shards):
+                continue
+            share = self.cache.get("alexa-share", _share_key(shards))
+            if share is None:
+                continue
+            index = shards[0].index
+            self.shares[index] = list(share)
+            by_variant = dict(zip(self.variants, shards))
+            if all(
+                self._cached(_alexa_key(by_variant[variant], model, name,
+                                        share))
+                for variant, name, model in self.alexa_datasets
+            ):
+                lazy.add(index)
+        return ha_plan, {
+            label: [
+                replace(shard, lazy=True) if shard.index in lazy else shard
+                for shard in plan
+            ]
+            for label, plan in alexa_plans.items()
+        }
+
+    def har_landed(self, shard: CrawlShard, corpus) -> None:
+        models = self.har_models
+        if corpus is ON_DISK:
+            models = [
+                model for model in models
+                if not self._load(f"har-{model.value}", shard,
+                                  _har_key(shard, model))
+            ]
+            corpus = self.crawls.part("httparchive", shard) if models else None
         if corpus is None:
             return
-        for model in self.har_models:
+        for model in models:
             name = f"har-{model.value}"
             plan = corpus.classify_plan(
                 model, name, crawl_plan=[shard], cache=self.cache
             )
             self._run(name, shard, plan, partial(corpus.classify, model=model))
 
-    def alexa_landed(
-        self, variant: str, shard: CrawlShard, run: AlexaRun | None
-    ) -> None:
+    def alexa_landed(self, variant: str, shard: CrawlShard, run) -> None:
         landed = self.alexa.setdefault(shard.index, {})
         landed[variant] = (shard, run)
         if len(landed) < len(self.variants):
             return
         del self.alexa[shard.index]
-        # "We review the intersection of websites for comparability."
-        sites = sorted(set.intersection(*(
-            set(run.reachable_sites) if run is not None else set()
-            for _, run in landed.values()
-        )))
-        for variant, name, model in _ALEXA_DATASETS:
-            crawl_shard, run = landed.get(variant, (shard, None))
+        if all(run is ON_DISK for _, run in landed.values()):
+            sites = self.shares[shard.index]
+        else:
+            # "We review the intersection of websites for comparability."
+            sites = sorted(set.intersection(*(
+                set(run.reachable_sites) if run is not None else set()
+                for _, run in landed.values()
+            )))
+            self._store_share(shard.index, landed, sites)
+            self.shares[shard.index] = sites
+        for variant, name, model in self.alexa_datasets:
+            crawl_shard, run = landed[variant]
+            if run is ON_DISK:
+                key = _alexa_key(crawl_shard, model, name, sites)
+                if self._load(name, crawl_shard, key):
+                    continue
+                run = self.crawls.part(variant, crawl_shard)
             if run is None:
                 continue
             plan = run.classify_plan(
@@ -287,29 +378,54 @@ class _ClassifyNodes:
             self._run(name, crawl_shard, plan,
                       partial(run.classify, model=model))
 
-    def _run(self, name: str, crawl_shard: CrawlShard,
-             plan: list[CrawlShard], classify: Callable) -> None:
+    def _store_share(self, index: int, landed: dict, sites: list[str]) -> None:
+        """Cache a computed share unless its sidecar was read at plan
+        time or a variant's shard was quarantined."""
+        if self.cache is None or index in self.shares or any(
+            run is None for _, run in landed.values()
+        ):
+            return
+        shards = [landed[variant][0] for variant in self.variants]
+        self.cache.put("alexa-share", _share_key(shards), tuple(sites))
+
+    def _cached(self, key: str) -> bool:
+        return self.cache.contains("classify", key)
+
+    def _load(self, name: str, crawl_shard: CrawlShard, key: str) -> bool:
+        """Whether a lazy crawl shard's classify node loaded by ``key``."""
+        dataset = self.cache.get("classify", key)
+        if dataset is None:
+            return False
+        window = self._window()
+        self.runlog.note_cached(f"classify-{name}", CrawlShard(
+            index=crawl_shard.index, domains=(), key=key, cached=True,
+        ))
+        window.land()
+        self.partials.setdefault(name, {})[crawl_shard.index] = dataset
+        return True
+
+    def _window(self) -> StageWindow:
         if self.window is None:
             self.window = self.timings.open("classify-datasets")
+        return self.window
+
+    def _run(self, name: str, crawl_shard: CrawlShard,
+             plan: list[CrawlShard], classify: Callable) -> None:
+        window = self._window()
         self.items += pending_items(plan)
         dataset = classify(
             name=name, plan=plan, asdb=self.asdb, cache=self.cache,
             runlog=self.runlog,
         )
-        self.window.land()
+        window.land()
         if not self.runlog.is_quarantined(plan[0].key):
             self.partials.setdefault(name, {})[crawl_shard.index] = dataset
 
     def finish(self) -> dict[str, ClassifiedDataset]:
         """Every dataset, its partials merged in plan order."""
-        if self.window is None:
-            self.window = self.timings.open("classify-datasets")
-        self.window.close(items=self.items)
+        self._window().close(items=self.items)
         names = [(f"har-{model.value}", model) for model in self.har_models]
-        names += [
-            (name, model) for variant, name, model in _ALEXA_DATASETS
-            if variant in self.variants
-        ]
+        names += [(name, model) for _, name, model in self.alexa_datasets]
         return {
             name: merge_classified_datasets(name, model, [
                 dataset for _, dataset in
@@ -319,24 +435,85 @@ class _ClassifyNodes:
         }
 
 
+def _har_key(shard: CrawlShard, model: LifetimeModel) -> str:
+    """The key of a HAR classify node (what :meth:`HarCorpus.classify_plan`
+    hashes): its crawl shard's key alone."""
+    return classify_cache_key("har", shard, model, f"har-{model.value}")
+
+
+def _alexa_key(shard: CrawlShard, model: LifetimeModel, name: str,
+               sites: Sequence[str]) -> str:
+    """The key of an Alexa classify node over ``shard``'s share
+    ``sites`` (what :meth:`AlexaRun.classify_plan` hashes)."""
+    return classify_cache_key("alexa", shard, model, name, tuple(sites))
+
+
+class _Crawls:
+    """A study's crawls by label (``httparchive``, then its variants).
+
+    The run lands each crawl's parts here; a lazy shard's part stays
+    :data:`ON_DISK` until something reads it.  :meth:`part` then runs
+    the shard through :func:`run_stages` on a serial executor: a cache
+    hit loads it, and a shard gone from the cache or failing to
+    unpickle is evicted, counted and recrawled under ``runlog``
+    (detached from the closed journal).  A crawl is deterministic, so
+    either way the part equals the cold run's.
+    """
+
+    def __init__(self, stages: dict[str, ShardStage],
+                 folds: dict[str, Callable[[list], Any]],
+                 cache: StudyCache | None, runlog: RunContext) -> None:
+        self.stages = stages
+        self.folds = folds
+        self.cache = cache
+        self.runlog = runlog
+        #: Label -> the parts the run landed, in plan order.
+        self.parts: dict[str, list] = {}
+        #: ``(label, shard index)`` -> a lazy shard's loaded part.
+        self.loaded: dict[tuple[str, int], Any] = {}
+
+    def part(self, label: str, shard: CrawlShard):
+        """One lazy shard's part (``None``: quarantined on recrawl)."""
+        if (label, shard.index) not in self.loaded:
+            stage = self.stages[label]
+            ((part,),) = run_stages(
+                [replace(stage, plan=[replace(shard, lazy=False)])],
+                executor=SerialExecutor(), cache=self.cache,
+                runlog=self.runlog,
+            )
+            self.loaded[label, shard.index] = part
+        return self.loaded[label, shard.index]
+
+    def fold(self, label: str):
+        """The crawl ``label`` folded from every part (``None``: not
+        crawled)."""
+        if label not in self.stages:
+            return None
+        return self.folds[label]([
+            self.part(label, shard) if part is ON_DISK else part
+            for shard, part in zip(self.stages[label].plan, self.parts[label])
+        ])
+
+
 @dataclass
 class Study:
     """All measurement artefacts of one reproduction run.
 
-    The two Alexa runs are ``None`` when the config's
-    ``alexa_variants`` excludes them (sweep ablations); the default
-    config always produces both.
+    The crawl outputs (:attr:`har_corpus`, :attr:`alexa_run`,
+    :attr:`alexa_nofetch_run`) fold from their shards on first read,
+    loading any shard the run left on disk.  The two Alexa runs are
+    ``None`` when the config's ``alexa_variants`` excludes them (sweep
+    ablations); the default config always produces both.
     """
 
     config: StudyConfig
     #: The world's :class:`~repro.web.ecosystem.WorldIndex`: all the
     #: run itself read from the world (see :attr:`ecosystem`).
     index: WorldIndex
-    har_corpus: HarCorpus
-    alexa_run: AlexaRun | None
-    alexa_nofetch_run: AlexaRun | None
+    #: The sorted sites reachable in every crawled Alexa run.
     alexa_common_sites: list[str]
     datasets: dict[str, ClassifiedDataset]
+    crawls: _Crawls = field(repr=False, compare=False)
     timings: StageTimings = field(default_factory=StageTimings)
     #: Shard coverage of the run (see :mod:`repro.runlog`): ``None``
     #: for cacheless runs, else complete-or-partial accounting that the
@@ -450,20 +627,33 @@ class Study:
         }
 
         # The crawls run as one stream on the executor; each crawl
-        # shard is classified in this process as soon as it lands.
+        # shard is classified in this process as soon as it lands, and
+        # a shard whose classify nodes are all cached stays on disk.
+        nodes = _ClassifyNodes(
+            config, list(variants), index, timings, cache, runlog
+        )
+        ha_plan, alexa_plans = nodes.plan(ha_plan, alexa_plans)
+        labels = ["httparchive", *variants]
         stages = [ha_crawler.stage(ha_plan)] + [
             alexa_crawler.stage(alexa_plans[label], variant)
             for label, variant in variants.items()
         ]
+        nodes.crawls = crawls = _Crawls(
+            dict(zip(labels, stages)),
+            {"httparchive": partial(ha_crawler.fold, ha_plan)} | {
+                label: partial(
+                    alexa_crawler.fold, alexa_plans[label], variant=variant
+                )
+                for label, variant in variants.items()
+            },
+            cache, runlog.detached(),
+        )
         windows = [timings.open("crawl-httparchive",
                                 items=pending_items(ha_plan))] + [
             timings.open(f"crawl-{variant.name}",
                          items=pending_items(alexa_plans[label]))
             for label, variant in variants.items()
         ]
-        nodes = _ClassifyNodes(
-            config, list(variants), index, timings, cache, runlog
-        )
         handlers = [nodes.har_landed] + [
             partial(nodes.alexa_landed, label) for label in variants
         ]
@@ -479,16 +669,7 @@ class Study:
         for window in windows:
             window.close()
         datasets = nodes.finish()
-
-        har_corpus = ha_crawler.fold(ha_plan, parts[0])
-        alexa_runs = {
-            label: alexa_crawler.fold(alexa_plans[label], run_parts, variant)
-            for (label, variant), run_parts in zip(variants.items(), parts[1:])
-        }
-        # "We review the intersection of websites for comparability."
-        common = sorted(set.intersection(*(
-            set(run.reachable_sites) for run in alexa_runs.values()
-        )))
+        crawls.parts = dict(zip(labels, parts))
         if "har-endless" in datasets and "alexa-endless" in datasets:
             with timings.stage("overlap"):
                 har_overlap, alexa_overlap = overlap_datasets(
@@ -500,13 +681,28 @@ class Study:
         return cls(
             config=config,
             index=index,
-            har_corpus=har_corpus,
-            alexa_run=alexa_runs.get("fetch"),
-            alexa_nofetch_run=alexa_runs.get("nofetch"),
-            alexa_common_sites=common,
+            alexa_common_sites=sorted(
+                site for share in nodes.shares.values() for site in share
+            ),
             datasets=datasets,
+            crawls=crawls,
             timings=timings,
         )
+
+    @cached_property
+    def har_corpus(self) -> HarCorpus:
+        """The HTTP Archive corpus (folded on first read)."""
+        return self.crawls.fold("httparchive")
+
+    @cached_property
+    def alexa_run(self) -> AlexaRun | None:
+        """The Fetch-compliant Alexa run (folded on first read)."""
+        return self.crawls.fold("fetch")
+
+    @cached_property
+    def alexa_nofetch_run(self) -> AlexaRun | None:
+        """The privacy-mode-patched Alexa run (folded on first read)."""
+        return self.crawls.fold("nofetch")
 
     # ------------------------------------------------------------------
     @property

@@ -33,6 +33,9 @@ and classifies each crawl shard in its own process as the shard lands
 (see :mod:`repro.analysis.study`); a standalone crawl is a one-stage
 run, and classification runs its stage on a serial executor.  Parts
 come back in plan order, so completion order never reaches an output.
+A study marks a cached crawl shard ``lazy`` when every classify node
+it feeds is cached too; the scheduler then leaves it on disk until
+something reads the crawl.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime import Executor
     from repro.store import StudyCache
 
-__all__ = ["CrawlShard", "ShardStage", "plan_crawl_shards", "pending_items",
-           "fold_provenance", "run_stages"]
+__all__ = ["CrawlShard", "ON_DISK", "ShardStage", "plan_crawl_shards",
+           "pending_items", "fold_provenance", "run_stages"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,21 @@ class CrawlShard:
     #: Whether the artefact existed on disk at planning time (item
     #: accounting only; the crawl itself re-checks via ``get``).
     cached: bool = False
+    #: Whether nothing downstream needs the shard's contents during the
+    #: run: :func:`run_stages` journals it as cached and lands
+    #: :data:`ON_DISK` instead of loading it.
+    lazy: bool = False
+
+
+class _OnDisk:
+    """The type of :data:`ON_DISK`."""
+
+    def __repr__(self) -> str:
+        return "ON_DISK"
+
+
+#: The part :func:`run_stages` lands for a lazy shard: cached, not loaded.
+ON_DISK = _OnDisk()
 
 
 def plan_crawl_shards(
@@ -151,7 +169,8 @@ def run_stages(
 ) -> list[list]:
     """Run the shards of ``stages`` as one stream; their parts by stage.
 
-    Each shard first tries ``cache`` under its key, in plan order.
+    Each shard first tries ``cache`` under its key, in plan order; a
+    ``lazy`` shard is journalled as cached without being loaded.
     Every shard that misses is journalled as started and submitted to
     ``executor`` at once, stage by stage except that stages sharing a
     ``kind`` (sibling crawls of one partition) interleave shard by
@@ -159,12 +178,13 @@ def run_stages(
     or quarantining a failed one), its part is built, cached and
     journalled finished.  ``on_land(stage index, shard, part)`` then
     sees it — and sees a cached shard as it loads — with ``None`` for
-    a quarantined shard.
+    a quarantined shard and :data:`ON_DISK` for a lazy one.
 
     Returns each stage's parts in plan order, ``None`` where a shard
-    was quarantined.  Any exception closes the stream, which cancels
-    every batch still outstanding, before it propagates.  Without a
-    ``runlog``, :meth:`RunContext.null` raises a failed batch's error.
+    was quarantined and :data:`ON_DISK` where it is lazy.  Any
+    exception closes the stream, which cancels every batch still
+    outstanding, before it propagates.  Without a ``runlog``,
+    :meth:`RunContext.null` raises a failed batch's error.
     """
     runlog = runlog or RunContext.null()
     parts: list[list] = [[None] * len(stage.plan) for stage in stages]
@@ -177,6 +197,10 @@ def run_stages(
     pending: list[tuple[int, int]] = []
     for index, stage in enumerate(stages):
         for position, shard in enumerate(stage.plan):
+            if shard.lazy:
+                runlog.note_cached(stage.name, shard)
+                land(index, position, ON_DISK)
+                continue
             if shard.key is not None and cache is not None:
                 cached = cache.get(stage.kind, shard.key)
                 if cached is not None:

@@ -49,6 +49,41 @@ _ALLOWED_BUILTINS = frozenset((
 _RECORD_FRAGMENTS = ("error", "failure", "miss", "fault")
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _raise_sites(
+    node: ast.AST, bound: frozenset[str] = frozenset()
+) -> Iterator[tuple[ast.Raise, frozenset[str]]]:
+    """Every ``raise`` under ``node``, with the names bound in its
+    innermost enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _FUNCTIONS):
+            yield from _raise_sites(child, _bound_names(child))
+            continue
+        if isinstance(child, ast.Raise):
+            yield child, bound
+        yield from _raise_sites(child, bound)
+
+
+def _bound_names(function: ast.AST) -> frozenset[str]:
+    """Parameters, ``except ... as`` names and assignment targets of
+    ``function`` (not of the functions nested in it)."""
+    names = {arg.arg for arg in ast.walk(function.args)
+             if isinstance(arg, ast.arg)}
+    pending = list(ast.iter_child_nodes(function))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+            continue
+        if isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        pending.extend(ast.iter_child_nodes(node))
+    return frozenset(names)
+
+
 @dataclass
 class TypedErrorsRule:
     """Enforce per-subsystem error hierarchies and honest broad catches."""
@@ -120,10 +155,12 @@ class TypedErrorsRule:
         root: str,
         class_bases: dict[str, list[str]],
     ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Raise) or node.exc is None:
+        for node, bound in _raise_sites(module.tree):
+            if node.exc is None:
                 continue
             exc = node.exc
+            if isinstance(exc, ast.Name) and exc.id in bound:
+                continue  # re-raise of a caught or assigned exception
             if isinstance(exc, ast.Call):
                 exc = exc.func
             if isinstance(exc, ast.Attribute):
@@ -131,7 +168,7 @@ class TypedErrorsRule:
             elif isinstance(exc, ast.Name):
                 name = exc.id
             else:
-                continue  # re-raise of a bound variable; out of scope
+                continue  # a computed exception; out of scope
             if name in _ALLOWED_BUILTINS or name == root:
                 continue
             if self._derives(name, root, class_bases):

@@ -6,7 +6,9 @@ Two files live at the repo root and are committed:
   peak RSS, digest) plus an append-only ``history`` of one compact
   entry per recording session.  The oldest entry is the pre-optimization
   baseline; speedups are reported against it.
-* ``BENCH_hotpath.json`` — the component microbenchmarks.
+* ``BENCH_hotpath.json`` — the component microbenchmarks, plus a
+  ``history`` of one compact entry (ops/s by benchmark) per earlier
+  label, so a before/after pair recorded on one host stays side by side.
 
 Both carry ``schema`` (bump on layout changes) and a ``host`` block;
 wall-clock comparisons across different hosts are flagged, digest
@@ -149,7 +151,33 @@ def write_pipeline_bench(
 def write_hotpath_bench(
     results: list[MicroResult], path: str | Path, *, label: str
 ) -> dict:
-    """Write ``BENCH_hotpath.json`` (latest microbenchmark results)."""
+    """Write ``BENCH_hotpath.json``: the latest microbenchmark results.
+
+    The record the file held moves into ``history``, after the history
+    it carried; each label keeps only its latest entry there, and the
+    new ``label`` none.
+    """
+    path = Path(path)
+    entries: dict[str, dict] = {}
+    if path.exists():
+        try:
+            previous = load_bench(path)
+        except (json.JSONDecodeError, CheckFailure):
+            previous = {}
+        past = list(previous.get("history", []))
+        if "benchmarks" in previous:
+            past.append({
+                "label": previous.get("label"),
+                "recorded_unix": previous.get("recorded_unix"),
+                "ops_per_s": {
+                    bench["name"]: bench["ops_per_s"]
+                    for bench in previous["benchmarks"]
+                },
+            })
+        for entry in past:
+            entries.pop(entry.get("label"), None)
+            entries[entry.get("label")] = entry
+    entries.pop(label, None)
     payload = {
         "schema": BENCH_SCHEMA,
         "kind": "hotpath",
@@ -157,8 +185,9 @@ def write_hotpath_bench(
         "recorded_unix": int(time.time()),
         "host": host_metadata(),
         "benchmarks": [result.to_dict() for result in results],
+        "history": list(entries.values()),
     }
-    _dump(Path(path), payload)
+    _dump(path, payload)
     return payload
 
 

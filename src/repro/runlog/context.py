@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from repro.runlog.errors import PoisonShardError
-from repro.runlog.journal import RunJournal, journal_dir, run_id
+from repro.runlog.journal import ReplayState, RunJournal, journal_dir, run_id
 from repro.runlog.retry import recover_chunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -117,6 +117,18 @@ class RunContext:
     def null() -> "RunContext":
         """The journal-less context of a cacheless run (shared, stateless)."""
         return _NULL_CONTEXT
+
+    def detached(self) -> "RunContext":
+        """This run's retry budget and fault hooks, journalling nothing.
+
+        For shard work after the run's journal has closed: a lazily
+        loaded crawl shard that has to be recrawled retries (and
+        quarantines) as the run would have.
+        """
+        return RunContext(
+            _NoJournal(), run=self.run, strict=self.strict,
+            seed=self.seed, fault_profile=self.fault_profile,
+        )
 
     @classmethod
     def for_study(
@@ -327,6 +339,19 @@ class RunContext:
         self.journal.close()
 
 
+class _NoJournal:
+    """The journal of a detached context: it keeps no record."""
+
+    def __init__(self) -> None:
+        self.replay = ReplayState()
+
+    def append(self, record: dict, *, sync: bool = True) -> dict:
+        return record
+
+    def close(self) -> None:
+        pass
+
+
 class _NullRunContext(RunContext):
     """No journal, no retry, no quarantine: see :meth:`RunContext.null`."""
 
@@ -337,6 +362,9 @@ class _NullRunContext(RunContext):
         pass
 
     finish_shard = note_cached = start_shard
+
+    def detached(self) -> RunContext:
+        return self
 
     def settle_shard(self, stage, shard, landed, fn, tasks, *, executor,
                      reattempt=None):

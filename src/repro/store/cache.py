@@ -22,6 +22,8 @@ Layout on disk::
         alexa-crawl/<key>.pkl    one pickled AlexaRun per run config
         classify/<key>.pkl       one pickled ClassifiedDataset
         world/<key>.pkl          one pickled WorldIndex per EcosystemConfig
+        alexa-share/<key>.pkl    one Alexa shard index's sorted share of
+                                 the common sites, as a tuple
 
 The payloads are pickles of this package's own dataclasses; the cache
 is trusted local state, not an interchange format.  The slotted
@@ -40,6 +42,11 @@ world.  A study whose every shard is cached loads it instead of
 building the synthetic ecosystem, which is built (and shared between
 studies of one process via :func:`repro.runtime.ecosystem_for`) only
 when a shard must be crawled.
+
+A warm study loads only what it reads: the world index, every classify
+shard and, per Alexa shard index, the ``alexa-share`` sidecar that
+keys its classify shards.  A crawl shard whose classify shards are all
+cached stays on disk until the study's crawl fields are read.
 
 Keys are pure functions of their parts — equal by value, sensitive to
 every knob:
@@ -97,7 +104,9 @@ CACHE_FORMAT = 4
 #: The artefact kinds the cache stores.  ``_path`` validates against
 #: this set so a malformed kind can never address a directory outside
 #: the cache layout.
-KNOWN_KINDS = frozenset({"har-crawl", "alexa-crawl", "classify", "world"})
+KNOWN_KINDS = frozenset({
+    "har-crawl", "alexa-crawl", "classify", "world", "alexa-share",
+})
 
 #: Keys are :func:`stable_key` digests: 32 lowercase hex characters.
 #: Anything else (``..``, ``..\\``, absolute paths) is rejected before

@@ -81,6 +81,11 @@ def test_one_missing_crawl_shard_builds_the_world_once(
     assert generate_calls() == 2
     assert study_digest(rerun) == cold
     assert cache.counters["world"].hits == 1
+    # The other shard's classify nodes are cached: it stays on disk
+    # until the corpus is read, and reading it builds no world.
+    assert cache.counters["har-crawl"] == CacheStats(misses=1, writes=1)
+    rerun.har_corpus
+    assert generate_calls() == 2
     assert cache.counters["har-crawl"] == CacheStats(
         hits=1, misses=1, writes=1
     )

@@ -57,6 +57,13 @@ PINNED_KEYS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: The ``alexa-share`` sidecar key of each Alexa shard index, in plan
+#: order: a hash of the index's fetch and nofetch crawl shard keys.
+PINNED_SIDECAR_KEYS = (
+    "64b5ac23d9f58c2e15937addf838191c",
+    "5df9afd52bf6fdc77bd87c84f354f717",
+)
+
 #: The ``world`` key of ``_CONFIG``'s world index.
 PINNED_WORLD_KEY = "3455fc30463dc5c429b08f89d3ec38e4"
 
@@ -94,10 +101,14 @@ def test_shard_keys_are_unchanged(journalled_keys, stage):
 
 
 def test_warm_rerun_hits_every_pinned_key(tmp_path):
-    """The pins are the keys a second identical run looks up."""
+    """The pins are the keys a second identical run looks up.
+
+    Every classify node is cached, so the warm run leaves every crawl
+    shard on disk; reading the study's crawls then loads each one.
+    """
     cache = StudyCache(tmp_path)
     Study.run(_CONFIG, cache=cache)
-    Study.run(_CONFIG, cache=cache)
+    warm = Study.run(_CONFIG, cache=cache)
     crawl_shards = sum(
         len(keys) for stage, keys in PINNED_KEYS.items()
         if not stage.startswith("classify-")
@@ -107,11 +118,14 @@ def test_warm_rerun_hits_every_pinned_key(tmp_path):
         if stage.startswith("classify-")
     )
     counters = cache.counters
+    assert counters["har-crawl"].hits + counters["alexa-crawl"].hits == 0
+    assert counters["classify"].hits == classify_shards
+    assert counters["alexa-share"].hits == len(PINNED_SIDECAR_KEYS)
+    warm.har_corpus, warm.alexa_run, warm.alexa_nofetch_run
     assert (
         counters["har-crawl"].hits + counters["alexa-crawl"].hits
         == crawl_shards
     )
-    assert counters["classify"].hits == classify_shards
     assert set(cache.entries()) == {
         (
             "classify" if stage.startswith("classify-")
@@ -119,4 +133,6 @@ def test_warm_rerun_hits_every_pinned_key(tmp_path):
             key,
         )
         for stage, keys in PINNED_KEYS.items() for key in keys
-    } | {("world", PINNED_WORLD_KEY)}
+    } | {("world", PINNED_WORLD_KEY)} | {
+        ("alexa-share", key) for key in PINNED_SIDECAR_KEYS
+    }

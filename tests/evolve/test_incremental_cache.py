@@ -98,7 +98,7 @@ class TestEpochIncrementality:
         self, warm_cache, shard_keys
     ):
         cache, _, before = warm_cache
-        Study.run(_config(1), cache=cache)
+        study = Study.run(_config(1), cache=cache)
         after = cache.total_stats()
         pristine, evolved = shard_keys
         clean_ha = sum(
@@ -110,6 +110,11 @@ class TestEpochIncrementality:
             if stage != "ha" and evolved[(stage, index)] == key
         )
         counters = cache.counters
+        # Every clean crawl shard's classify nodes are cached, so the
+        # run leaves it on disk; reading the crawls loads it.
+        assert counters["har-crawl"].hits == 0
+        assert counters["alexa-crawl"].hits == 0
+        study.har_corpus, study.alexa_run, study.alexa_nofetch_run
         assert counters["har-crawl"].hits == clean_ha
         assert counters["alexa-crawl"].hits == clean_alexa
         # A clean crawl shard's classifications are clean too: HAR
@@ -150,7 +155,10 @@ class TestWarmRerun:
         self, warm_cache
     ):
         """One truncated shard artefact costs one recompute, not the
-        study; the digest is unchanged and the entry heals on disk."""
+        study; the digest is unchanged and the entry heals on disk.
+
+        Its classify nodes are cached, so the run leaves the shard on
+        disk and the recompute happens when the corpus is read."""
         cache, digest, _ = warm_cache
         kind, key = next(
             entry for entry in cache.entries() if entry[0] == "har-crawl"
@@ -159,8 +167,10 @@ class TestWarmRerun:
         path.write_bytes(path.read_bytes()[:16])
         before = cache.total_stats()
         study = Study.run(_config(0), cache=cache)
-        after = cache.total_stats()
         assert study_digest(study) == digest
+        assert cache.total_stats().errors == before.errors
+        study.har_corpus
+        after = cache.total_stats()
         assert after.errors == before.errors + 1
         assert after.misses == before.misses + 1
         # The healed entry round-trips again.

@@ -64,6 +64,57 @@ class TestRaiseSites:
         """})
         assert _findings(project) == []
 
+    def test_reraise_of_a_caught_exception_is_fine(self, make_project):
+        project = make_project({"pkg/mod.py": """\
+            def settle(landed):
+                try:
+                    return landed.result()
+                except OSError as error:
+                    landed.close()
+                    raise error
+        """})
+        assert _findings(project) == []
+
+    def test_raise_of_an_assigned_exception_is_fine(self, make_project):
+        project = make_project({"pkg/mod.py": """\
+            def settle(outcomes):
+                error = outcomes.pop()
+                raise error
+        """})
+        assert _findings(project) == []
+
+    def test_raise_of_a_parameter_is_fine(self, make_project):
+        project = make_project({"pkg/mod.py": """\
+            def reraise(error):
+                raise error
+        """})
+        assert _findings(project) == []
+
+    def test_foreign_class_raised_bare_or_called_fires(self, make_project):
+        project = make_project({"pkg/mod.py": """\
+            from other import Foreign
+
+            def bare():
+                raise Foreign
+
+            def called():
+                raise Foreign()
+        """})
+        findings = _findings(project)
+        assert [finding.line for finding in findings] == [4, 7]
+        assert all("raise of Foreign" in f.message for f in findings)
+
+    def test_binding_in_a_nested_function_does_not_count(self, make_project):
+        project = make_project({"pkg/mod.py": """\
+            def outer():
+                def inner():
+                    Foreign = RuntimeError
+                    return Foreign
+                raise Foreign
+        """})
+        (finding,) = _findings(project)
+        assert finding.line == 5
+
     def test_outside_the_subsystem_is_unconstrained(self, make_project):
         project = make_project({"other/mod.py": """\
             def boom():

@@ -96,6 +96,22 @@ class TestHotpathWriter:
         first = loaded["benchmarks"][0]
         assert first["name"] == "hpack-encode"
         assert first["ops_per_s"] == pytest.approx(2000.0)
+        assert loaded["history"] == []
+
+    def test_earlier_labels_move_into_history(self, tmp_path):
+        path = tmp_path / "BENCH_hotpath.json"
+        write_hotpath_bench([MicroResult("warm-study", 60, 0.5)], path,
+                            label="before")
+        write_hotpath_bench([MicroResult("warm-study", 60, 0.25)], path,
+                            label="after")
+        write_hotpath_bench([MicroResult("warm-study", 60, 0.2)], path,
+                            label="after")
+        loaded = load_bench(path)
+        assert loaded["label"] == "after"
+        assert loaded["benchmarks"][0]["ops_per_s"] == pytest.approx(300.0)
+        (before,) = loaded["history"]
+        assert before["label"] == "before"
+        assert before["ops_per_s"] == {"warm-study": pytest.approx(120.0)}
 
 
 class TestComparator:

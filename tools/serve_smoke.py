@@ -6,7 +6,9 @@ HTTP, and checks:
 
 1. the cold response's digest equals ``tests/golden/digest.txt`` —
    the service cannot drift from the CLI pipeline;
-2. the warm repeat reports ``"cached": true`` with the same digest;
+2. the warm repeat reports ``"cached": true`` with the same digest,
+   headline and datasets (the headline reads the Fetch-compliant run,
+   which a warm study loads only when read, and is outside the digest);
 3. SIGTERM drains and the process exits 130 (the interrupted-run rc).
 
 Run standalone (exit 1 on any failure)::
@@ -79,6 +81,9 @@ def main() -> int:
                 )
             if not warm["cached"]:
                 failures.append("warm repeat not served from cache")
+            for field in ("headline", "datasets"):
+                if warm[field] != cold[field]:
+                    failures.append(f"warm {field} differs from cold")
 
             proc.send_signal(signal.SIGTERM)
             remainder = proc.stderr.read()
