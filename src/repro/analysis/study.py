@@ -418,8 +418,9 @@ class _ClassifyNodes:
             runlog=self.runlog,
         )
         window.land()
-        if not self.runlog.is_quarantined(plan[0].key):
-            self.partials.setdefault(name, {})[crawl_shard.index] = dataset
+        # A quarantined node classifies to the empty aggregate, which
+        # merges as a no-op.
+        self.partials.setdefault(name, {})[crawl_shard.index] = dataset
 
     def finish(self) -> dict[str, ClassifiedDataset]:
         """Every dataset, its partials merged in plan order."""
@@ -546,7 +547,9 @@ class Study:
         finished shards, ``strict`` restores fail-fast on the first
         shard failure, and ``observer`` sees every journal record after
         its append.  A run that raises leaves its journal without a
-        ``run-finish`` record, so it stays resumable.
+        ``run-finish`` record, so it stays resumable.  Without a cache
+        the run gets :meth:`RunContext.null`: no journal, no coverage,
+        and the first shard failure raises.
         """
         config = config or StudyConfig()
         config.validate()
@@ -555,23 +558,20 @@ class Study:
         owns_executor = executor is None
         executor = executor if executor is not None else config.make_executor()
         timings = timings if timings is not None else StageTimings()
-        runlog = None
-        if cache is not None:
+        if cache is None:
+            runlog = RunContext.null()
+        else:
             runlog = RunContext.for_study(
                 config, cache, resume=resume, strict=strict, observer=observer
             )
         try:
             with collector_paused():
-                study = cls._run(
-                    config, executor, timings, cache,
-                    runlog or RunContext.null(),
-                )
-            if runlog is not None:
+                study = cls._run(config, executor, timings, cache, runlog)
+            if cache is not None:
                 study.coverage = runlog.finish()
             return study
         finally:
-            if runlog is not None:
-                runlog.close()
+            runlog.close()
             if owns_executor:
                 executor.close()
 

@@ -183,8 +183,9 @@ def run_stages(
     Returns each stage's parts in plan order, ``None`` where a shard
     was quarantined and :data:`ON_DISK` where it is lazy.  Any
     exception closes the stream, which cancels every batch still
-    outstanding, before it propagates.  Without a ``runlog``,
-    :meth:`RunContext.null` raises a failed batch's error.
+    outstanding, before it propagates.  Without a ``runlog`` the
+    stages run under a fresh :meth:`RunContext.null`, which journals
+    nothing and raises a failed batch's own error.
     """
     runlog = runlog or RunContext.null()
     parts: list[list] = [[None] * len(stage.plan) for stage in stages]

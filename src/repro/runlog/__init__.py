@@ -7,9 +7,11 @@ The run layer makes long studies survivable:
   a synced record makes every earlier one durable, and ``shard-skip``
   (a cached shard) is the one kind left for the next sync or close;
 * :mod:`repro.runlog.retry` — transient/fatal failure classification
-  and the chunk-then-single-item retry loop;
+  and ``recover_chunk``, the single-item retry of a failed chunk;
 * :mod:`repro.runlog.context` — the :class:`RunContext` the pipeline
-  threads per shard, with poison quarantine and coverage accounting;
+  threads per shard, with poison quarantine and coverage accounting
+  (a cacheless run gets ``RunContext.null()``, which journals nothing
+  and fails fast);
 * :mod:`repro.runlog.inspect` — journal listing for ``repro runs``.
 
 With zero failures the layer is provably inert: the happy path hands
@@ -40,7 +42,7 @@ from repro.runlog.journal import (
     load_records,
     run_id,
 )
-from repro.runlog.retry import classify_failure, retry_map
+from repro.runlog.retry import classify_failure
 
 __all__ = [
     "RUNLOG_SCHEMA",
@@ -60,6 +62,5 @@ __all__ = [
     "load_records",
     "render_run_detail",
     "render_runs",
-    "retry_map",
     "run_id",
 ]

@@ -18,9 +18,9 @@ crawls (journal stages ``har-crawl``, ``alexa-fetch``,
 
 So a run journals its cached shards' skips first, then one
 ``shard-start`` per submitted shard, then the finishes in completion
-order.  Cacheless runs get :meth:`RunContext.null`: no journal,
-``settle_shard`` raises a failed batch's exception, every other hook
-does nothing.
+order.  Cacheless runs get :meth:`RunContext.null`: a strict context
+over a journal that keeps nothing, so ``settle_shard`` raises a failed
+batch's own exception after its one attempt.
 
 The study driver closes the loop: it skips classification shards of
 quarantined crawl shards (so no empty dataset is ever cached under a
@@ -109,14 +109,17 @@ class RunContext:
         # thread-safe: one RunContext per study run, driven only from
         # the study thread (workers never see it).
         self._quarantined: dict[str, tuple[str, ...]] = {}
-        self._quarantined_keys: set[str] = set()
         self._ok: set[str] = set()
 
     # ------------------------------------------------------------------
     @staticmethod
     def null() -> "RunContext":
-        """The journal-less context of a cacheless run (shared, stateless)."""
-        return _NULL_CONTEXT
+        """A journal-less, fail-fast context for one cacheless run.
+
+        Fresh per call: a context keeps per-run state, and the serve
+        layer runs studies on many threads at once.
+        """
+        return RunContext(_NoJournal(), run="", strict=True)
 
     def detached(self) -> "RunContext":
         """This run's retry budget and fault hooks, journalling nothing.
@@ -231,8 +234,6 @@ class RunContext:
                 "domains": list(shard.domains), "attempts": error.attempts,
             })
             self._quarantined[token] = shard.domains
-            if shard.key is not None:
-                self._quarantined_keys.add(shard.key)
             if self.strict:
                 raise
             return None
@@ -252,8 +253,6 @@ class RunContext:
         })
         self._ok.add(token)
         self._quarantined.pop(token, None)
-        if shard.key is not None:
-            self._quarantined_keys.discard(shard.key)
 
     def note_cached(self, stage: str, shard: "CrawlShard") -> None:
         """Record a shard skipped because its artefact already exists.
@@ -272,10 +271,6 @@ class RunContext:
             "artifact": shard.key, "reason": reason,
         }, sync=False)
         self._ok.add(token)
-
-    def is_quarantined(self, key: str | None) -> bool:
-        """Whether a shard cache key was quarantined *in this run*."""
-        return key is not None and key in self._quarantined_keys
 
     # ------------------------------------------------------------------
     def maybe_rot(self, stage: str, shard: "CrawlShard",
@@ -340,7 +335,7 @@ class RunContext:
 
 
 class _NoJournal:
-    """The journal of a detached context: it keeps no record."""
+    """The journal of a cacheless or detached context: it keeps no record."""
 
     def __init__(self) -> None:
         self.replay = ReplayState()
@@ -350,31 +345,3 @@ class _NoJournal:
 
     def close(self) -> None:
         pass
-
-
-class _NullRunContext(RunContext):
-    """No journal, no retry, no quarantine: see :meth:`RunContext.null`."""
-
-    def __init__(self) -> None:
-        pass
-
-    def start_shard(self, stage, shard) -> None:
-        pass
-
-    finish_shard = note_cached = start_shard
-
-    def detached(self) -> RunContext:
-        return self
-
-    def settle_shard(self, stage, shard, landed, fn, tasks, *, executor,
-                     reattempt=None):
-        return landed.result()
-
-    def is_quarantined(self, key) -> bool:
-        return False
-
-    def maybe_rot(self, stage, shard, path) -> bool:
-        return False
-
-
-_NULL_CONTEXT = _NullRunContext()

@@ -12,9 +12,10 @@ retrying them only buries the traceback.
 :func:`recover_chunk` is the shard recovery primitive: after a
 whole-chunk attempt through the executor failed for a transient
 reason, it re-dispatches every item as its own single-item map so one
-poisoned site cannot hold the rest of its chunk hostage.
-:func:`retry_map` is the whole-chunk attempt plus that recovery.
-When an item exhausts its attempt budget, the recovery raises
+poisoned site cannot hold the rest of its chunk hostage.  Its one
+caller is :meth:`repro.runlog.RunContext.settle_shard`, which hands it
+the failed attempt as the executor's stream landed it.  When an item
+exhausts its attempt budget, the recovery raises
 :class:`PoisonShardError`; the run context catches that and
 quarantines the shard instead of aborting the study.
 
@@ -24,8 +25,6 @@ by waiting, and the test suite must not either.
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor
-from contextlib import closing
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from repro.runlog.errors import PoisonShardError
@@ -36,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["classify_failure", "recover_chunk", "retry_map"]
+__all__ = ["classify_failure", "recover_chunk"]
 
 #: Exception types that mean "the code is wrong, not the weather":
 #: retrying them reproduces the same failure with interest.
@@ -61,34 +60,6 @@ def classify_failure(error: BaseException) -> str:
     return "transient"
 
 
-def retry_map(
-    executor,
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    max_attempts: int,
-    stage: str,
-    domains: tuple[str, ...] = (),
-    reattempt: Callable[[T, int], T] | None = None,
-    on_event: Callable[[str, dict], None] | None = None,
-) -> list[R]:
-    """``executor.map_sites(fn, items)`` with retry and poison detection.
-
-    The whole-chunk attempt, then :func:`recover_chunk` when it fails.
-    """
-    items = list(items)
-    if not items:
-        return []
-    with closing(executor.stream([(fn, items)])) as stream:
-        (landed,) = stream
-    if landed.error is None:
-        return landed.results
-    return recover_chunk(
-        executor, fn, items, landed, max_attempts=max_attempts,
-        stage=stage, domains=domains, reattempt=reattempt, on_event=on_event,
-    )
-
-
 def recover_chunk(
     executor,
     fn: Callable[[T], R],
@@ -97,9 +68,9 @@ def recover_chunk(
     *,
     max_attempts: int,
     stage: str,
-    domains: tuple[str, ...] = (),
+    domains: tuple[str, ...],
+    on_event: Callable[[str, dict], None],
     reattempt: Callable[[T, int], T] | None = None,
-    on_event: Callable[[str, dict], None] | None = None,
 ) -> list[R]:
     """The results of ``items`` after their whole-chunk attempt failed.
 
@@ -115,14 +86,9 @@ def recover_chunk(
     ``max_attempts`` is 1 — strict mode), and
     :class:`PoisonShardError` when an item survives every attempt.
     """
-
-    def note(kind: str, detail: dict) -> None:
-        if on_event is not None:
-            on_event(kind, detail)
-
     error = failed.error
     verdict = classify_failure(error)
-    note("chunk-failed", {
+    on_event("chunk-failed", {
         "stage": stage, "error": type(error).__name__,
         "message": str(error), "classification": verdict,
     })
@@ -148,7 +114,7 @@ def recover_chunk(
                 break
             except Exception as retry_error:
                 verdict = classify_failure(retry_error)
-                note("item-failed", {
+                on_event("item-failed", {
                     "stage": stage, "item": position, "attempt": attempt,
                     "error": type(retry_error).__name__,
                     "message": str(retry_error), "classification": verdict,

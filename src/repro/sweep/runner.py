@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.analysis.digest import study_digest
 from repro.analysis.headline import HeadlineStats, headline
@@ -48,46 +48,6 @@ class DatasetSummary:
     redundant_site_share: float
     cause_sites: dict[str, int]
     cause_connections: dict[str, int]
-
-    @classmethod
-    def merge(cls, partials: Sequence["DatasetSummary"]) -> "DatasetSummary":
-        """Fold per-shard partial summaries into the whole.
-
-        Counts add; the site share is recomputed from the merged
-        counts (a mean of per-shard shares would weight small shards
-        wrongly).  Associative and order-insensitive, so any fold tree
-        over the same partials produces the same summary.
-        """
-        if not partials:
-            raise ValueError("cannot merge zero dataset summaries")
-        names = {partial.name for partial in partials}
-        if len(names) != 1:
-            raise ValueError(f"cannot merge different datasets: {names}")
-        h2_sites = sum(partial.h2_sites for partial in partials)
-        redundant_sites = sum(partial.redundant_sites for partial in partials)
-        cause_sites: dict[str, int] = {}
-        cause_connections: dict[str, int] = {}
-        for partial in partials:
-            for cause, count in partial.cause_sites.items():
-                cause_sites[cause] = cause_sites.get(cause, 0) + count
-            for cause, count in partial.cause_connections.items():
-                cause_connections[cause] = (
-                    cause_connections.get(cause, 0) + count
-                )
-        return cls(
-            name=partials[0].name,
-            h2_sites=h2_sites,
-            h2_connections=sum(p.h2_connections for p in partials),
-            redundant_sites=redundant_sites,
-            redundant_connections=sum(
-                p.redundant_connections for p in partials
-            ),
-            redundant_site_share=(
-                redundant_sites / h2_sites if h2_sites else 0.0
-            ),
-            cause_sites=cause_sites,
-            cause_connections=cause_connections,
-        )
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 ``tests/docs/test_docs.py`` proves the *real* docs are clean; these
 tests prove the checker would actually catch each class of rot — a
 dead Markdown link, a dead backtick path, a dead CLI flag, a dead API
-name — against a planted fixture docs tree, and that the healthy forms
-pass.
+name, a dead class member — against a planted fixture docs tree, and
+that the healthy forms pass.
 """
 
 from __future__ import annotations
@@ -101,6 +101,19 @@ class TestEachRotClassIsCaught:
         assert name in finding
         assert "README.md:1" in finding
 
+    @pytest.mark.parametrize("span", [
+        "DatasetSummary.merge",  # a removed classmethod
+        "RunContext.is_quarantined()",  # a removed method, called
+    ])
+    def test_dead_class_member(self, fake_repo, check_docs, span):
+        path = _write(fake_repo, "README.md", f"""\
+            Then `{span}` folds it.
+        """)
+        (finding,) = check_docs.check_file(path, _FLAGS)
+        assert "unknown class member" in finding
+        assert span in finding
+        assert "README.md:1" in finding
+
 
 class TestHealthyFormsPass:
     def test_clean_doc_has_no_findings(self, fake_repo, check_docs):
@@ -116,6 +129,10 @@ class TestHealthyFormsPass:
             APIs: `repro.runlog`, `repro.runtime.Executor`,
             `repro.runtime.StageTimings.seconds_for`; prose such as
             `repro.foo()` or `repro study` is not a bare name.
+
+            Members: `StageTimings.seconds_for`, `RunContext.null()`, a
+            dataclass field without a default `DatasetSummary.name`;
+            `Unexported.anything` names no class this check knows.
         """)
         assert check_docs.check_file(path, _FLAGS) == []
 

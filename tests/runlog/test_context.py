@@ -21,7 +21,14 @@ from repro.analysis.digest import study_digest
 from repro.analysis.report import generate_report
 from repro.analysis.study import Study, StudyConfig
 from repro.crawl import httparchive
-from repro.runlog import RunJournal, WorkerCrashError, load_records, run_id
+from repro.runlog import (
+    RunContext,
+    RunJournal,
+    WorkerCrashError,
+    load_records,
+    run_id,
+)
+from repro.runlog.context import _NoJournal
 from repro.store import StudyCache
 
 GOLDEN_DIGEST = (
@@ -130,6 +137,14 @@ class TestInertness:
         )
         assert study.coverage is None
 
+    def test_null_context_is_a_fresh_fail_fast_run_context(self):
+        first = RunContext.null()
+        assert first is not RunContext.null()
+        for context in (first, first.detached()):
+            assert type(context) is RunContext
+            assert isinstance(context.journal, _NoJournal)
+            assert context.max_attempts == 1
+
     def test_resume_requires_a_cache(self):
         with pytest.raises(ValueError, match="resume"):
             Study.run(_config(), resume=True)
@@ -174,10 +189,17 @@ class TestWorkerCrashRecovery:
         assert failed[0]["error"] == "BrokenExecutor"
         assert "shard-quarantined" not in _journal_events(cache, config)
 
+    @pytest.mark.parametrize("shards, digest", [
+        (1, "767c8045078ddc15e796dbcf5d58a4e7"),
+        (2, "2ba88e0499c186b4f9d240c6e665dbd1"),
+        (4, "03e0035397ac5b50f42651c976213ad9"),
+    ])
     def test_persistent_classify_worker_loss_quarantines_the_shard(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, shards, digest
     ):
-        config = _config()
+        """The quarantined classify shard folds as the empty dataset,
+        cold and on a warm re-run over the same cache alike."""
+        config = _config(shards=shards)
         cache = StudyCache(tmp_path)
         worker = _ClassifyWorkerLoss(monkeypatch, persistent=True)
         study = Study.run(config, cache=cache)
@@ -189,6 +211,7 @@ class TestWorkerCrashRecovery:
             study.datasets["har-immediate"].classifications
         )
         assert study_digest(study) != GOLDEN_DIGEST
+        assert study_digest(study) == digest
         quarantined = [
             record for record in _journal_records(cache, config)
             if record["event"] == "shard-quarantined"
@@ -196,6 +219,9 @@ class TestWorkerCrashRecovery:
         assert [record["stage"] for record in quarantined] == [
             "classify-har-immediate"
         ]
+        warm = Study.run(config, cache=cache)
+        assert study_digest(warm) == digest
+        assert warm.coverage == coverage
 
     def test_strict_mode_fails_fast_with_the_original_error(self, tmp_path):
         with pytest.raises(WorkerCrashError):
@@ -203,6 +229,12 @@ class TestWorkerCrashRecovery:
                 _config(fault_profile="worker-crash"),
                 cache=StudyCache(tmp_path), strict=True,
             )
+
+    def test_cacheless_run_fails_fast_with_the_original_error(self):
+        """A cacheless run never retries: the first crash surfaces."""
+        with pytest.raises(WorkerCrashError) as info:
+            Study.run(_config(fault_profile="worker-crash"))
+        assert str(info.value).endswith("(attempt 0)")
 
 
 class _Drain(Exception):

@@ -5,18 +5,15 @@ from __future__ import annotations
 import os
 import signal
 from concurrent.futures import BrokenExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import pytest
 
 from repro.dns.errors import DnsError
 from repro.h2.errors import H2Error
-from repro.runlog import (
-    PoisonShardError,
-    WorkerCrashError,
-    classify_failure,
-    retry_map,
-)
+from repro.runlog import PoisonShardError, WorkerCrashError, classify_failure
+from repro.runlog.retry import recover_chunk
 from repro.runtime import ProcessExecutor, SerialExecutor
 from repro.tls.verify import CertificateError
 
@@ -69,26 +66,39 @@ def _reattempt(task: _Task, attempt: int) -> _Task:
     return replace(task, attempt=attempt)
 
 
+def _retry(executor, fn, tasks, *, max_attempts, stage, domains=(),
+           reattempt=None, on_event=None):
+    """The whole-chunk attempt through ``executor.stream``, then
+    :func:`recover_chunk` over the batch it landed (which must fail)."""
+    with closing(executor.stream([(fn, tasks)])) as stream:
+        (landed,) = stream
+    assert landed.error is not None
+    return recover_chunk(
+        executor, fn, tasks, landed, max_attempts=max_attempts,
+        stage=stage, domains=domains, reattempt=reattempt,
+        on_event=on_event or (lambda kind, detail: None),
+    )
+
+
 class TestRetryMap:
+    """A failed chunk's recovery, fed the batch its stream attempt landed."""
+
     def test_happy_path_preserves_order(self):
-        tasks = [_Task("a"), _Task("b"), _Task("c")]
-        results = retry_map(
+        # Only the chunk attempt fails; every item's re-dispatch
+        # succeeds and the results keep input order.
+        tasks = [_Task("a", fail_until=1), _Task("b"), _Task("c")]
+        results = _retry(
             SerialExecutor(), _work, tasks,
-            max_attempts=3, stage="s",
+            max_attempts=3, stage="s", reattempt=_reattempt,
         )
         assert results == ["A", "B", "C"]
-
-    def test_empty_items(self):
-        assert retry_map(
-            SerialExecutor(), _work, [], max_attempts=3, stage="s"
-        ) == []
 
     def test_transient_failure_recovers_on_single_redispatch(self):
         events = []
         # b fails its chunk attempt (0) and its first re-dispatch (1),
         # then succeeds with one attempt to spare.
         tasks = [_Task("a"), _Task("b", fail_until=2), _Task("c")]
-        results = retry_map(
+        results = _retry(
             SerialExecutor(), _work, tasks,
             max_attempts=3, stage="s",
             reattempt=_reattempt,
@@ -103,7 +113,7 @@ class TestRetryMap:
     def test_poison_after_exhausted_attempts(self):
         tasks = [_Task("a"), _Task("b", fail_until=99)]
         with pytest.raises(PoisonShardError) as info:
-            retry_map(
+            _retry(
                 SerialExecutor(), _work, tasks,
                 max_attempts=3, stage="alexa-fetch",
                 domains=("a.com", "b.com"), reattempt=_reattempt,
@@ -116,7 +126,7 @@ class TestRetryMap:
     def test_fatal_chunk_failure_raises_immediately(self):
         events = []
         with pytest.raises(TypeError):
-            retry_map(
+            _retry(
                 SerialExecutor(), _work, [_Task("a", fatal=True)],
                 max_attempts=5, stage="s",
                 reattempt=_reattempt,
@@ -134,7 +144,7 @@ class TestRetryMap:
             raise TypeError("bug on retry")
 
         with pytest.raises(TypeError):
-            retry_map(
+            _retry(
                 SerialExecutor(), flaky_then_buggy, [_Task("a")],
                 max_attempts=4, stage="s",
                 reattempt=_reattempt,
@@ -145,7 +155,7 @@ class TestRetryMap:
         # Strict mode: no PoisonShardError wrapper, the real error
         # surfaces with its own type and message.
         with pytest.raises(DnsError):
-            retry_map(
+            _retry(
                 SerialExecutor(), _work, [_Task("a", fail_until=9)],
                 max_attempts=1, stage="s",
                 reattempt=_reattempt,
@@ -171,7 +181,7 @@ class TestDeadWorkerRedispatch:
                  _Task("d")]
         events = []
         with ProcessExecutor(max_workers=2) as executor:
-            results = retry_map(
+            results = _retry(
                 executor, _suicidal, tasks,
                 max_attempts=3, stage="s",
                 reattempt=_reattempt,
@@ -192,7 +202,7 @@ class TestDeadWorkerRedispatch:
         tasks = [_Task("a"), _Task("bomb", fail_until=99)]
         with ProcessExecutor(max_workers=2) as executor:
             with pytest.raises(PoisonShardError):
-                retry_map(
+                _retry(
                     executor, _suicidal, tasks,
                     max_attempts=2, stage="s",
                     reattempt=_reattempt,

@@ -1,6 +1,6 @@
 """Dead-link / dead-path / dead-flag checker for the Markdown docs.
 
-Scans ``README.md`` and ``docs/*.md`` for four classes of rot:
+Scans ``README.md`` and ``docs/*.md`` for five classes of rot:
 
 1. **relative Markdown links** (``[text](path)``) whose target file or
    directory no longer exists;
@@ -11,7 +11,11 @@ Scans ``README.md`` and ``docs/*.md`` for four classes of rot:
    blocks) that no CLI parser registers any more;
 4. **API names** (`` `repro.runtime.Executor` ``: a whole backtick span
    that is a dotted ``repro.…`` name) that no longer import or resolve
-   to an attribute.
+   to an attribute;
+5. **class members** (`` `StageTimings.seconds_for` `` or
+   `` `RunContext.null()` ``: a whole backtick span naming a member of
+   a class some ``repro`` module exports in ``__all__``) that are
+   neither an attribute nor a dataclass field of that class.
 
 External URLs are deliberately not fetched — CI must not depend on the
 network.  Run standalone (exit 1 on any finding)::
@@ -23,7 +27,10 @@ or through the tier-1 suite (``tests/docs/test_docs.py``).
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -40,6 +47,7 @@ _BACKTICK = re.compile(r"`([^`\n]+)`")
 _PATH_ROOTS = ("src/", "tests/", "docs/", "examples/", "tools/")
 _FLAG = re.compile(r"(--[a-z][a-z0-9-]+)\b")
 _API_NAME = re.compile(r"repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+_MEMBER = re.compile(r"([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\(\))?")
 #: Flag-like strings that are not CLI flags of this repo.
 _FLAG_ALLOWLIST = frozenset((
     "--doctest-modules",  # pytest's own flag, quoted in the docs
@@ -100,6 +108,41 @@ def api_name_resolves(name: str) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def exported_classes() -> dict[str, tuple[type, ...]]:
+    """Every class some ``repro`` module lists in ``__all__``, by name."""
+    import repro
+
+    classes: dict[str, set[type]] = {}
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith("__main__")
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name, None)
+            if inspect.isclass(value):
+                classes.setdefault(name, set()).add(value)
+    return {name: tuple(found) for name, found in classes.items()}
+
+
+def member_resolves(class_name: str, member: str) -> bool:
+    """Whether ``Class.member`` names an attribute or a dataclass field
+    of an exported class called ``class_name`` (``True`` when no
+    exported class has that name: the span is not this check's)."""
+    classes = exported_classes().get(class_name)
+    if classes is None:
+        return True
+    return any(
+        hasattr(cls, member) or (
+            dataclasses.is_dataclass(cls)
+            and member in {field.name for field in dataclasses.fields(cls)}
+        )
+        for cls in classes
+    )
+
+
 def _looks_like_path(text: str) -> bool:
     if any(ch in text for ch in " *<>{}$|"):
         return False
@@ -155,6 +198,12 @@ def check_file(path: Path, cli_flags: set[str]) -> list[str]:
             if _API_NAME.fullmatch(content) and not api_name_resolves(content):
                 findings.append(
                     f"{shown}:{number}: unknown API name "
+                    f"({content})"
+                )
+            member = _MEMBER.fullmatch(content)
+            if member and not member_resolves(*member.groups()):
+                findings.append(
+                    f"{shown}:{number}: unknown class member "
                     f"({content})"
                 )
             if _looks_like_path(content):
