@@ -331,20 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", default=["src", "tools"],
         help="files or directories to lint (default: src tools)",
     )
-    lint.add_argument(
-        "--baseline", default="tools/lint_baseline.txt",
-        help="baseline file of accepted findings (default: "
-             "tools/lint_baseline.txt)",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline file from the current findings",
-    )
-    lint.add_argument(
-        "--check", action="store_true",
-        help="CI mode: also fail when the baseline lists findings that "
-             "no longer fire (the baseline may only shrink)",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -396,22 +382,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _table_names(table: str) -> list[str]:
+    """The table functions ``--table`` names: a number 1-12 or ``all``."""
+    from repro.analysis import ALL_TABLES
+
+    if table == "all":
+        return sorted(ALL_TABLES)
+    try:
+        name = f"table{int(table)}"
+    except ValueError:
+        name = None
+    if name not in ALL_TABLES:
+        raise _InputError(f"unknown --table {table!r}; expected 1-12 or "
+                          f"'all'")
+    return [name]
+
+
 def _cmd_study(args) -> int:
     from repro.analysis import ALL_TABLES, figure2, figure3, headline
 
+    names = _table_names(args.table) if args.table else []
     study = _study_from_args(args)
-    shown = False
-    if args.table:
-        names = sorted(ALL_TABLES) if args.table == "all" else [
-            f"table{int(args.table)}"
-        ]
-        for name in names:
-            if name not in ALL_TABLES:
-                print(f"unknown table: {args.table}", file=sys.stderr)
-                return 2
-            print(ALL_TABLES[name](study).render())
-            print()
-        shown = True
+    for name in names:
+        print(ALL_TABLES[name](study).render())
+        print()
+    shown = bool(names)
     if args.figure == 2:
         print(figure2(study).render())
         shown = True
@@ -630,6 +625,19 @@ def _cmd_bench(args) -> int:
         render_check_report,
     )
 
+    if args.repeat < 1:
+        raise _InputError(f"--repeat must be >= 1, got {args.repeat}")
+    if not args.tolerance >= 0:
+        raise _InputError(f"--tolerance must be >= 0, got {args.tolerance}")
+    if args.check_scale not in SCALES:
+        raise _InputError(f"unknown --check-scale {args.check_scale!r}; "
+                          f"pick from {sorted(SCALES)}")
+    scales = [part.strip() for part in args.scales.split(",") if part.strip()]
+    unknown = [scale for scale in scales if scale not in SCALES]
+    if unknown:
+        raise _InputError(f"unknown scales {unknown}; pick from "
+                          f"{sorted(SCALES)}")
+
     out_dir = Path(args.out_dir)
     pipeline_path = out_dir / PIPELINE_BENCH
 
@@ -652,13 +660,6 @@ def _cmd_bench(args) -> int:
             return 2
         print(render_check_report(outcome))
         return 0 if outcome.passed else 1
-
-    scales = [part.strip() for part in args.scales.split(",") if part.strip()]
-    unknown = [scale for scale in scales if scale not in SCALES]
-    if unknown:
-        print(f"error: unknown scales {unknown}; pick from {sorted(SCALES)}",
-              file=sys.stderr)
-        return 2
 
     if not args.hotpath:
         # Ascending size: ru_maxrss is a process-wide high-water mark,
@@ -692,39 +693,16 @@ def _cmd_bench(args) -> int:
 def _cmd_lint(args) -> int:
     from pathlib import Path
 
-    from repro.lint import (
-        Project,
-        default_rules,
-        load_baseline,
-        run_lint,
-        write_baseline,
-    )
+    from repro.lint import Project, default_rules, run_lint
 
-    root = Path.cwd()
-    baseline_path = root / args.baseline
-    project = Project.load(root, args.paths)
-    baseline = load_baseline(baseline_path)
-    report = run_lint(project, default_rules(), baseline=baseline)
-
-    if args.write_baseline:
-        write_baseline(baseline_path, report.findings)
-        print(f"wrote {len(report.findings)} finding(s) to {args.baseline}")
-        return 0
-
-    for finding in report.new:
+    project = Project.load(Path.cwd(), args.paths)
+    findings = run_lint(project, default_rules())
+    for finding in findings:
         print(finding.render())
-    if args.check:
-        for key in sorted(report.stale):
-            print(f"stale baseline entry (finding no longer fires): "
-                  f"{key.replace(chr(9), ' ')}")
-    ok = report.ok(check=args.check)
-    if not ok:
-        print(
-            f"repro lint: {len(report.new)} new finding(s), "
-            f"{len(report.stale)} stale baseline entr(y/ies)",
-            file=sys.stderr,
-        )
-    return 0 if ok else 1
+    if findings:
+        print(f"repro lint: {len(findings)} finding(s)", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_serve(args) -> int:

@@ -193,13 +193,13 @@ class _DynamicTable:
     Entries live in a deque with the newest entry at position 0, exactly
     the combined-address-space order of RFC 7541 §2.3.3.  Two index maps
     keyed by monotonically increasing insertion ids give the encoder an
-    O(1) per-header lookup (formerly a linear scan; the lookup itself is
-    inlined in :meth:`HpackEncoder.encode`): an entry inserted as id
-    ``k`` currently sits at position ``_next_id - 1 - k`` because
-    evictions only ever remove the oldest entry, so its combined index
-    is ``_STATIC_LEN + _next_id - k``.  The maps store the *latest* id
-    per (name, value) pair and per name, matching the old scan's
-    preference for the newest entry.
+    O(1) per-header lookup (the lookup itself is inlined in
+    :meth:`HpackEncoder.encode`): an entry inserted as id ``k``
+    currently sits at position ``_next_id - 1 - k`` because evictions
+    only ever remove the oldest entry, so its combined index is
+    ``_STATIC_LEN + _next_id - k``.  The maps store the *latest* id
+    per (name, value) pair and per name, so a lookup prefers the
+    newest entry.
     """
 
     max_size: int = 4096

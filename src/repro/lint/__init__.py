@@ -15,9 +15,7 @@ after the fact:
 
 Run it::
 
-    python -m repro lint              # report; exit 1 on new findings
-    python -m repro lint --check      # CI mode: baseline may only shrink
-    python -m repro lint --write-baseline
+    python -m repro lint              # print findings; exit 1 if any
 
 Per-line exemptions: ``# repro-lint: ignore[rule-id]``.  Shared-state
 justifications: ``# thread-safe: <why>`` on the definition.
@@ -25,22 +23,8 @@ justifications: ``# thread-safe: <why>`` on the definition.
 
 from __future__ import annotations
 
-from repro.lint.engine import (
-    LintReport,
-    Project,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from repro.lint.engine import Project, run_lint
 from repro.lint.findings import Finding
 from repro.lint.rules import default_rules
 
-__all__ = [
-    "Finding",
-    "LintReport",
-    "Project",
-    "default_rules",
-    "load_baseline",
-    "run_lint",
-    "write_baseline",
-]
+__all__ = ["Finding", "Project", "default_rules", "run_lint"]

@@ -1,11 +1,8 @@
-"""The lint driver: discover sources, run rules, apply the baseline.
+"""The lint driver: discover sources, run rules, drop inline ignores.
 
-The baseline file is an escape hatch for *pre-existing* findings only:
-``repro lint`` exits nonzero on any finding that is not baselined, and
-``--check`` (the CI mode) additionally fails when a baseline entry no
-longer fires — so the baseline can only ever shrink.  New code must
-ship clean or carry an inline ``# repro-lint: ignore[rule]`` exemption
-at the offending line.
+``repro lint`` exits nonzero on any finding.  Code must ship clean or
+carry an inline ``# repro-lint: ignore[rule]`` exemption at the
+offending line; there is no other way to exempt a finding.
 """
 
 from __future__ import annotations
@@ -17,14 +14,7 @@ from typing import Iterable, Protocol, Sequence
 from repro.lint.findings import Finding
 from repro.lint.source import SourceModule
 
-__all__ = [
-    "LintReport",
-    "LintRule",
-    "Project",
-    "load_baseline",
-    "run_lint",
-    "write_baseline",
-]
+__all__ = ["LintRule", "Project", "run_lint"]
 
 
 class LintRule(Protocol):
@@ -71,27 +61,8 @@ class Project:
         return None
 
 
-@dataclass
-class LintReport:
-    """The outcome of one lint run against a baseline."""
-
-    findings: list[Finding]
-    #: Findings not covered by the baseline — these fail the run.
-    new: list[Finding]
-    #: Baseline entries that no longer fire — these fail ``--check``.
-    stale: list[str]
-
-    def ok(self, *, check: bool = False) -> bool:
-        return not self.new and not (check and self.stale)
-
-
-def run_lint(
-    project: Project,
-    rules: Sequence[LintRule],
-    *,
-    baseline: frozenset[str] = frozenset(),
-) -> LintReport:
-    """Run every rule, drop inline-ignored findings, split by baseline."""
+def run_lint(project: Project, rules: Sequence[LintRule]) -> list[Finding]:
+    """Every rule's findings, sorted, minus those ignored inline."""
     findings: list[Finding] = []
     by_rel = {module.rel: module for module in project.modules}
     for rule in rules:
@@ -103,37 +74,4 @@ def run_lint(
                 continue
             findings.append(finding)
     findings.sort()
-    used: set[str] = set()
-    new: list[Finding] = []
-    for finding in findings:
-        key = finding.baseline_key()
-        if key in baseline:
-            used.add(key)
-        else:
-            new.append(finding)
-    stale = sorted(baseline - used)
-    return LintReport(findings=findings, new=new, stale=stale)
-
-
-def load_baseline(path: Path) -> frozenset[str]:
-    """Baseline keys from ``path`` (missing file = empty baseline)."""
-    if not path.exists():
-        return frozenset()
-    keys = []
-    for line in path.read_text().splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        keys.append(line)
-    return frozenset(keys)
-
-
-def write_baseline(path: Path, findings: Iterable[Finding]) -> None:
-    keys = sorted({finding.baseline_key() for finding in findings})
-    header = (
-        "# repro lint baseline — pre-existing findings only.\n"
-        "# This file may only shrink: `repro lint --check` fails when an\n"
-        "# entry stops firing (delete it) or a new finding is unbaselined\n"
-        "# (fix it, or exempt it inline with `# repro-lint: ignore[rule]`).\n"
-        "# Format: <path>\\t<rule>\\t<message>, one finding per line.\n"
-    )
-    path.write_text(header + "".join(key + "\n" for key in keys))
+    return findings

@@ -1,9 +1,6 @@
-"""Lint findings: what every rule reports and how it is keyed.
+"""Lint findings: what every rule reports.
 
-A finding is one violation at one source location.  Its *baseline key*
-deliberately excludes the line number: baselined findings survive
-unrelated edits that shift lines, and go stale exactly when the
-offending code (or the rule's message for it) changes.
+A finding is one violation at one source location.
 """
 
 from __future__ import annotations
@@ -17,8 +14,8 @@ __all__ = ["Finding"]
 class Finding:
     """One rule violation at one source location.
 
-    ``path`` is repo-relative POSIX so findings render identically (and
-    baseline keys match) regardless of the machine the linter ran on.
+    ``path`` is repo-relative POSIX so findings render identically
+    regardless of the machine the linter ran on.
     """
 
     path: str
@@ -29,6 +26,3 @@ class Finding:
     def render(self) -> str:
         return f"{self.path}:{self.line} {self.rule} {self.message}"
 
-    def baseline_key(self) -> str:
-        """Line-number-free identity used by the baseline file."""
-        return f"{self.path}\t{self.rule}\t{self.message}"

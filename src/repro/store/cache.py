@@ -185,8 +185,7 @@ class StudyCache:
     within a process; writes are atomic (write-to-temp + rename), so a
     crashed run never leaves a truncated artefact behind.  The hit/miss
     counters are lock-guarded, so concurrent server requests sharing
-    one cache count every lookup exactly once (the on-disk entries were
-    already safe; the *stats* used to race).
+    one cache count every lookup exactly once.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -218,11 +217,9 @@ class StudyCache:
                writes: int = 0, errors: int = 0) -> None:
         """Atomically bump one kind's counters.
 
-        ``setdefault`` plus the bare ``+=`` used to run unlocked; two
-        server threads touching the same kind could interleave the
-        read-modify-write and lose (or double-count) increments.  All
-        counter traffic now serialises on one lock — file I/O stays
-        outside it, so the hot path is untouched.
+        The read-modify-write runs under the one stats lock, so server
+        threads touching the same kind never lose an increment; file
+        I/O stays outside the lock.
         """
         with self._stats_lock:
             stats = self.counters.setdefault(kind, CacheStats())

@@ -4,7 +4,8 @@ Every command that runs studies (``study``, ``sweep``, ``resilience``,
 ``h3``, ``evolve``, ``perf``) turns the same flags into a config, an
 executor and a cache.  Bad input exits 2 with one ``error: …`` line
 before any study work, and ``--task-timeout`` reaches the executor
-every study runs on.
+every study runs on.  ``bench`` and ``study``'s own flags are checked
+the same way, before any study runs or any file is touched.
 """
 
 from __future__ import annotations
@@ -146,3 +147,44 @@ def test_validation_builds_no_executor(monkeypatch):
                  "--task-timeout", "30")
     assert _exit_code(argv) == 0
     assert built == [30.0]
+
+
+_SCALES = ("['golden', 'golden-pool', 'golden-sharded', 'smoke', "
+           "'smoke-sharded', 'stress']")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["bench", "--check", "--check-scale", "nope"],
+     f"error: unknown --check-scale 'nope'; pick from {_SCALES}"),
+    (["bench", "--hotpath", "--repeat", "-3"],
+     "error: --repeat must be >= 1, got -3"),
+    (["bench", "--hotpath", "--repeat", "0"],
+     "error: --repeat must be >= 1, got 0"),
+    (["bench", "--pipeline-only", "--repeat", "0"],
+     "error: --repeat must be >= 1, got 0"),
+    (["bench", "--check", "--tolerance", "-1"],
+     "error: --tolerance must be >= 0, got -1.0"),
+    (["bench", "--scales", "smoke,huge"],
+     f"error: unknown scales ['huge']; pick from {_SCALES}"),
+    (["study", "--sites", "20", "--table", "x"],
+     "error: unknown --table 'x'; expected 1-12 or 'all'"),
+    (["study", "--sites", "20", "--table", "99"],
+     "error: unknown --table '99'; expected 1-12 or 'all'"),
+], ids=["unknown-check-scale", "negative-repeat", "zero-repeat-hotpath",
+        "zero-repeat-pipeline", "negative-tolerance", "unknown-scale",
+        "non-numeric-table", "out-of-range-table"])
+def test_bad_command_flags_exit_2_before_any_work(
+    capsys, monkeypatch, tmp_path, argv, line
+):
+    def no_study(cls, *args, **kwargs):
+        raise AssertionError("a study ran before the flags were checked")
+
+    monkeypatch.setattr(Study, "run", classmethod(no_study))
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "bench":
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -1,143 +1,69 @@
-"""Property tests for the mergeable digest fold.
+"""Laws of the study digest.
 
-The shard-and-fold digest only works if the fold is a true monoid
-action over disjoint site partitions: merging must be associative and
-order-insensitive, and the folded digest must depend only on the union
-of the per-site chunks — never on how the sites were partitioned into
-parts.  Hypothesis drives those laws over arbitrary synthetic chunk
-tables; real-study byte-identity is pinned separately by the golden
-suite.
+``study_digest`` is one pass over the study's datasets in sorted key
+order and each dataset's sites in sorted site order, so the digest
+depends on what the study holds, never on the order it was built in,
+and any change to a held record moves it.  Each classification object
+is rendered once per call.  Real-study byte identity across executors
+and shard counts is pinned separately by the golden and differential
+suites.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from pathlib import Path
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.analysis import digest
-from repro.analysis.digest import (
-    DigestPart,
-    fold_study_digest,
-    merge_digest_parts,
-)
-
-_SITES = tuple(f"site{index:03d}.com" for index in range(12))
-_DATASETS = ("har-actual", "har-endless", "alexa", "alexa-nofetch")
-
-#: A synthetic chunk table: dataset key -> {site: content chunk}.
-_chunk_tables = st.dictionaries(
-    st.sampled_from(_DATASETS),
-    st.dictionaries(
-        st.sampled_from(_SITES),
-        st.binary(min_size=1, max_size=16),
-        max_size=len(_SITES),
-    ),
-    min_size=1,
-    max_size=len(_DATASETS),
-)
 
 
-def _header(key: str) -> bytes:
-    return repr((key, "model")).encode()
-
-
-def _whole_part(table: dict[str, dict[str, bytes]]) -> DigestPart:
-    return DigestPart({
-        key: (_header(key), dict(chunks)) for key, chunks in table.items()
-    })
-
-
-def _partition(table, assignment, n_parts: int) -> list[DigestPart]:
-    """Split a chunk table into parts by a per-site shard assignment."""
-    buckets: list[dict] = [{} for _ in range(n_parts)]
-    for key, chunks in table.items():
-        for bucket in buckets:
-            bucket.setdefault(key, (_header(key), {}))
-        for site, chunk in chunks.items():
-            bucket = buckets[assignment(site) % n_parts]
-            bucket[key][1][site] = chunk
-    return [DigestPart(bucket) for bucket in buckets]
-
-
-class TestFoldLaws:
-    @given(table=_chunk_tables, n_parts=st.integers(1, 7), salt=st.integers())
-    @settings(max_examples=60, deadline=None)
-    def test_fold_is_partition_invariant(self, table, n_parts, salt):
-        """Any disjoint partition folds to the monolithic digest."""
-        whole = fold_study_digest([_whole_part(table)])
-        parts = _partition(
-            table, lambda site: hash((salt, site)), n_parts
-        )
-        assert fold_study_digest(parts) == whole
-
-    @given(table=_chunk_tables, n_parts=st.integers(2, 5),
-           permutation_seed=st.integers())
-    @settings(max_examples=60, deadline=None)
-    def test_fold_is_order_insensitive(self, table, n_parts,
-                                       permutation_seed):
-        import random
-
-        parts = _partition(table, hash, n_parts)
-        shuffled = list(parts)
-        random.Random(permutation_seed).shuffle(shuffled)
-        assert fold_study_digest(shuffled) == fold_study_digest(parts)
-
-    @given(table=_chunk_tables)
-    @settings(max_examples=40, deadline=None)
-    def test_merge_is_associative(self, table):
-        a, b, c = _partition(table, hash, 3)
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert fold_study_digest([left]) == fold_study_digest([right])
-        assert left.datasets.keys() == right.datasets.keys()
-
-    @given(table=_chunk_tables)
-    @settings(max_examples=40, deadline=None)
-    def test_empty_part_is_identity(self, table):
-        part = _whole_part(table)
-        assert fold_study_digest([DigestPart(), part]) == (
-            fold_study_digest([part])
-        )
-        assert fold_study_digest([part, DigestPart()]) == (
-            fold_study_digest([part])
-        )
-
-    @given(table=_chunk_tables, mutation=st.binary(min_size=1, max_size=16))
-    @settings(max_examples=40, deadline=None)
-    def test_any_chunk_change_moves_the_digest(self, table, mutation):
-        key = sorted(table)[0]
-        chunks = table[key]
-        site = sorted(chunks)[0] if chunks else _SITES[0]
-        if chunks.get(site) == mutation:
-            mutation = mutation + b"x"
-        mutated = {
-            k: dict(c) if k != key else {**c, site: mutation}
-            for k, c in table.items()
+class TestDigestLaws:
+    def test_insertion_order_does_not_move_the_digest(self, small_study):
+        reversed_study = copy.copy(small_study)
+        reversed_study.datasets = {
+            key: dataclasses.replace(
+                dataset,
+                classifications=dict(
+                    reversed(list(dataset.classifications.items()))
+                ),
+            )
+            for key, dataset in reversed(list(small_study.datasets.items()))
         }
-        assert fold_study_digest([_whole_part(mutated)]) != (
-            fold_study_digest([_whole_part(table)])
+        assert list(reversed_study.datasets) != list(small_study.datasets)
+        assert digest.study_digest(reversed_study) == (
+            digest.study_digest(small_study)
         )
 
-
-class TestMergeErrors:
-    def test_conflicting_site_chunks_raise(self):
-        a = DigestPart({"d": (_header("d"), {"s.com": b"one"})})
-        b = DigestPart({"d": (_header("d"), {"s.com": b"two"})})
-        with pytest.raises(ValueError, match="not disjoint"):
-            a.merge(b)
-
-    def test_same_site_same_chunk_merges(self):
-        a = DigestPart({"d": (_header("d"), {"s.com": b"one"})})
-        assert fold_study_digest([a, a]) == fold_study_digest([a])
-
-    def test_header_mismatch_raises(self):
-        a = DigestPart({"d": (b"header-one", {})})
-        b = DigestPart({"d": (b"header-two", {})})
-        with pytest.raises(ValueError, match="identity"):
-            merge_digest_parts([a, b])
+    def test_one_field_change_moves_the_digest(self, small_study):
+        key = sorted(small_study.datasets)[0]
+        dataset = small_study.datasets[key]
+        site = next(
+            site for site in sorted(dataset.classifications)
+            if dataset.classifications[site].records
+        )
+        classification = dataset.classifications[site]
+        record = classification.records[0]
+        mutated_site = dataclasses.replace(
+            classification,
+            records=[
+                dataclasses.replace(record, port=record.port + 1),
+                *classification.records[1:],
+            ],
+        )
+        mutated = copy.copy(small_study)
+        mutated.datasets = {
+            **small_study.datasets,
+            key: dataclasses.replace(
+                dataset,
+                classifications={
+                    **dataset.classifications, site: mutated_site,
+                },
+            ),
+        }
+        assert digest.study_digest(mutated) != (
+            digest.study_digest(small_study)
+        )
 
 
 class TestChunkRendering:

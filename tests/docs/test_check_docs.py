@@ -18,7 +18,14 @@ import pytest
 
 _TOOLS_DIR = Path(__file__).resolve().parents[2] / "tools"
 
-_FLAGS = {"--seed", "--executor"}
+#: Flags by subcommand, the root parser's under ``""``, as
+#: ``registered_cli_flags`` builds them.
+_FLAGS = {
+    "": frozenset({"--seed"}),
+    "study": frozenset({"--seed", "--executor"}),
+    "bench": frozenset({"--seed", "--check"}),
+    "lint": frozenset({"--seed"}),
+}
 
 
 @pytest.fixture()
@@ -87,6 +94,20 @@ class TestEachRotClassIsCaught:
         (finding,) = check_docs.check_file(path, _FLAGS)
         assert "--retired-flag" in finding
 
+    def test_flag_of_another_subcommand(self, fake_repo, check_docs):
+        path = _write(fake_repo, "README.md", """\
+            ```console
+            $ repro lint --check
+            ```
+
+            CI runs `repro --seed 3 lint --check`.
+        """)
+        findings = check_docs.check_file(path, _FLAGS)
+        assert findings == [
+            "README.md:2: unknown CLI flag (--check) for `repro lint`",
+            "README.md:5: unknown CLI flag (--check) for `repro lint`",
+        ]
+
     @pytest.mark.parametrize("name", [
         "repro.runtime.null_timings",  # a removed attribute
         "repro.har.store",  # a removed module
@@ -144,6 +165,16 @@ class TestHealthyFormsPass:
         """)
         assert check_docs.check_file(path, _FLAGS) == []
 
+    def test_flag_of_the_named_subcommand(self, fake_repo, check_docs):
+        path = _write(fake_repo, "README.md", """\
+            ```console
+            $ repro bench --check --seed 7
+            ```
+
+            `--check` belongs to `repro bench`, not to `repro lint`.
+        """)
+        assert check_docs.check_file(path, _FLAGS) == []
+
     def test_placeholder_paths_are_not_flagged(self, fake_repo, check_docs):
         path = _write(fake_repo, "README.md", """\
             Artefacts land in `src/repro/<stage>/outputs` and
@@ -165,7 +196,9 @@ class TestDriver:
 
     def test_registered_cli_flags_sees_subcommands(self, check_docs):
         flags = check_docs.registered_cli_flags()
-        # One shared runtime flag, one lint-only flag: harvesting
-        # recursed into subparsers.
-        assert "--seed" in flags
-        assert "--write-baseline" in flags
+        # One root flag, one bench-only flag: harvesting recursed into
+        # subparsers and kept each one's flags apart.
+        assert "--seed" in flags[""]
+        assert "--check-scale" in flags["bench"]
+        assert "--check-scale" not in flags["lint"]
+        assert "--seed" in flags["lint"]

@@ -113,8 +113,7 @@ class TestExemptions:
             def stamp():
                 return time.time()  # repro-lint: ignore[determinism]
         """})
-        report = run_lint(project, [DeterminismRule()])
-        assert report.findings == []
+        assert run_lint(project, [DeterminismRule()]) == []
 
     def test_inline_ignore_is_rule_specific(self, make_project):
         from repro.lint import run_lint
@@ -125,8 +124,7 @@ class TestExemptions:
             def stamp():
                 return time.time()  # repro-lint: ignore[shared-state]
         """})
-        report = run_lint(project, [DeterminismRule()])
-        assert len(report.findings) == 1
+        assert len(run_lint(project, [DeterminismRule()])) == 1
 
     def test_excluded_prefix_is_skipped(self, make_project):
         project = make_project({"bench/timer.py": """\

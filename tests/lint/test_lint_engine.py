@@ -1,4 +1,5 @@
-"""Engine semantics: baselines shrink, ignores filter, the CLI exits right."""
+"""Engine semantics: findings come back sorted, ignores filter, the CLI
+exits right."""
 
 from __future__ import annotations
 
@@ -7,13 +8,7 @@ import dataclasses
 import pytest
 
 import repro.cli
-from repro.lint import (
-    Finding,
-    Project,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from repro.lint import Finding, Project, run_lint
 from repro.lint.rules import DeterminismRule, default_rules
 
 
@@ -30,49 +25,18 @@ def _finding(path="mod.py", line=3, rule="stub", message="broken"):
     return Finding(path=path, line=line, rule=rule, message=message)
 
 
-class TestBaseline:
-    def test_baselined_finding_is_not_new(self, make_project):
+class TestRunLint:
+    def test_finding_is_reported(self, make_project):
         project = make_project({"mod.py": "x = 1\n"})
-        finding = _finding()
-        report = run_lint(
-            project, [StubRule([finding])],
-            baseline=frozenset((finding.baseline_key(),)),
-        )
-        assert report.findings == [finding]
-        assert report.new == []
-        assert report.ok()
-        assert report.ok(check=True)
+        assert run_lint(project, [StubRule([_finding()])]) == [_finding()]
 
-    def test_unbaselined_finding_fails(self, make_project):
+    def test_findings_come_back_sorted(self, make_project):
         project = make_project({"mod.py": "x = 1\n"})
-        report = run_lint(project, [StubRule([_finding()])])
-        assert not report.ok()
-
-    def test_baseline_key_survives_line_shifts(self):
-        moved = dataclasses.replace(_finding(), line=99)
-        assert moved.baseline_key() == _finding().baseline_key()
-
-    def test_stale_entry_fails_only_check_mode(self, make_project):
-        project = make_project({"mod.py": "x = 1\n"})
-        report = run_lint(
-            project, [StubRule([])],
-            baseline=frozenset(("gone.py\tstub\tfixed long ago",)),
-        )
-        assert report.stale == ["gone.py\tstub\tfixed long ago"]
-        assert report.ok()
-        assert not report.ok(check=True)
-
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.txt"
-        write_baseline(path, [_finding(), _finding(message="other")])
-        keys = load_baseline(path)
-        assert keys == {
-            "mod.py\tstub\tbroken", "mod.py\tstub\tother",
-        }
-        assert path.read_text().startswith("#")
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.txt") == frozenset()
+        late, early = _finding(line=9), _finding(line=2)
+        other = _finding(path="a.py")
+        assert run_lint(
+            project, [StubRule([late, early]), StubRule([other])]
+        ) == [other, early, late]
 
 
 class TestProjectLoad:
@@ -113,36 +77,20 @@ class TestCli:
         assert repro.cli.main(["lint", "clean.py"]) == 0
         assert capsys.readouterr().out == ""
 
-    def test_write_then_check_round_trip(self, project_dir, capsys):
-        assert repro.cli.main(
-            ["lint", "dirty.py", "--baseline", "base.txt",
-             "--write-baseline"]
-        ) == 0
-        assert repro.cli.main(
-            ["lint", "dirty.py", "--baseline", "base.txt", "--check"]
-        ) == 0
-        # The finding is fixed; --check now demands the entry's removal.
-        (project_dir / "dirty.py").write_text("x = 2\n")
-        assert repro.cli.main(
-            ["lint", "dirty.py", "--baseline", "base.txt"]
-        ) == 0
-        assert repro.cli.main(
-            ["lint", "dirty.py", "--baseline", "base.txt", "--check"]
-        ) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
+    def test_check_flag_is_unknown(self, project_dir, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            repro.cli.main(["lint", "--check"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --check" in capsys.readouterr().err
 
 
 class TestRepoIsClean:
-    """The tree lints clean with an empty baseline — the acceptance bar."""
+    """The tree lints clean — the acceptance bar."""
 
     def test_whole_repo_zero_findings(self, repo_root):
         project = Project.load(repo_root, ["src", "tools"])
-        report = run_lint(project, default_rules())
-        assert report.new == [], [f.render() for f in report.new]
-
-    def test_checked_in_baseline_is_empty(self, repo_root):
-        baseline = load_baseline(repo_root / "tools" / "lint_baseline.txt")
-        assert baseline == frozenset()
+        findings = run_lint(project, default_rules())
+        assert findings == [], [f.render() for f in findings]
 
     def test_default_rules_cover_all_four_families(self):
         assert sorted(rule.rule_id for rule in default_rules()) == [
@@ -157,5 +105,4 @@ class TestRepoIsClean:
                 return time.time()  # repro-lint: ignore[]
         """})
         # Empty bracket = wildcard: documents the grammar's edge case.
-        report = run_lint(project, [DeterminismRule()])
-        assert report.findings == []
+        assert run_lint(project, [DeterminismRule()]) == []

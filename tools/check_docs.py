@@ -8,7 +8,9 @@ Scans ``README.md`` and ``docs/*.md`` for five classes of rot:
    ``, `` `docs/...` ``, `` `examples/...` ``, `` `tools/...` ``)
    pointing at files that no longer exist;
 3. **CLI flag references** (`` --flag `` inside backticks or console
-   blocks) that no CLI parser registers any more;
+   blocks) that no CLI parser registers any more; a flag that follows
+   ``repro <subcommand>`` on the same line must be one that
+   subcommand (or the root parser) accepts;
 4. **API names** (`` `repro.runtime.Executor` ``: a whole backtick span
    that is a dotted ``repro.…`` name) that no longer import or resolve
    to an attribute;
@@ -27,6 +29,7 @@ or through the tier-1 suite (``tests/docs/test_docs.py``).
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -46,6 +49,10 @@ _BACKTICK = re.compile(r"`([^`\n]+)`")
 #: names a concrete file or directory (no globs/placeholders).
 _PATH_ROOTS = ("src/", "tests/", "docs/", "examples/", "tools/")
 _FLAG = re.compile(r"(--[a-z][a-z0-9-]+)\b")
+#: ``repro <subcommand>``, past any root flags (``repro --seed 3 study``).
+_COMMAND = re.compile(
+    r"\brepro(?:\s+--[a-z][a-z0-9-]*(?:\s+(?!-)\S+)?)*\s+([a-z][a-z0-9-]*)"
+)
 _API_NAME = re.compile(r"repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 _MEMBER = re.compile(r"([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\(\))?")
 #: Flag-like strings that are not CLI flags of this repo.
@@ -61,24 +68,28 @@ def doc_files() -> list[Path]:
     return files
 
 
-def registered_cli_flags() -> set[str]:
-    """Every ``--flag`` any repro CLI parser accepts."""
+def registered_cli_flags() -> dict[str, frozenset[str]]:
+    """Every ``--flag`` each repro CLI parser accepts, by subcommand.
+
+    The root parser's flags are under ``""``; each subcommand's set
+    includes them, since ``repro <subcommand>`` accepts both.
+    """
     from repro.cli import build_parser
 
-    flags: set[str] = set()
+    def own(parser) -> frozenset[str]:
+        return frozenset(
+            opt
+            for action in parser._actions
+            for opt in action.option_strings
+            if opt.startswith("--")
+        )
 
-    def harvest(parser) -> None:
-        for action in parser._actions:
-            flags.update(
-                opt for opt in action.option_strings if opt.startswith("--")
-            )
-            choices = getattr(action, "choices", None)
-            if isinstance(choices, dict):  # a subparsers action
-                for sub in choices.values():
-                    if hasattr(sub, "_actions"):
-                        harvest(sub)
-
-    harvest(build_parser())
+    root = build_parser()
+    flags = {"": own(root)}
+    for action in root._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                flags[name] = own(sub) | flags[""]
     return flags
 
 
@@ -152,15 +163,46 @@ def _looks_like_path(text: str) -> bool:
     )
 
 
-def check_file(path: Path, cli_flags: set[str]) -> list[str]:
-    """All findings for one Markdown file, as printable strings."""
+def check_file(
+    path: Path, cli_flags: dict[str, frozenset[str]]
+) -> list[str]:
+    """All findings for one Markdown file, as printable strings.
+
+    ``cli_flags`` maps each subcommand (the root parser under ``""``)
+    to the flags it accepts, as :func:`registered_cli_flags` builds it.
+    """
     findings: list[str] = []
+    any_parser = frozenset().union(*cli_flags.values())
     text = path.read_text()
     base = path.parent
     try:
         shown = path.relative_to(REPO_ROOT)
     except ValueError:  # a file outside the repo (tests plant these)
         shown = path
+
+    def check_flags(number: int, line: str, span: str, offset: int) -> None:
+        """Flags in ``span`` (at ``offset`` into ``line``) must be
+        accepted by the subcommand last named before them on the line,
+        or by some parser when none is."""
+        commands = [
+            (match.end(), match.group(1))
+            for match in _COMMAND.finditer(line)
+            if match.group(1) in cli_flags
+        ]
+        for match in _FLAG.finditer(span):
+            flag = match.group(1)
+            position = offset + match.start()
+            command = None
+            for end, name in commands:
+                if end <= position:
+                    command = name
+            accepted = any_parser if command is None else cli_flags[command]
+            if flag in accepted or flag in _FLAG_ALLOWLIST:
+                continue
+            where = "" if command is None else f" for `repro {command}`"
+            findings.append(
+                f"{shown}:{number}: unknown CLI flag ({flag}){where}"
+            )
 
     in_fence = False
     for number, line in enumerate(text.splitlines(), start=1):
@@ -169,13 +211,8 @@ def check_file(path: Path, cli_flags: set[str]) -> list[str]:
             continue
         if in_fence:
             # Fenced code blocks (console transcripts): every flag on
-            # the line must be one some parser registers.
-            for flag in _FLAG.findall(line):
-                if flag not in cli_flags and flag not in _FLAG_ALLOWLIST:
-                    findings.append(
-                        f"{shown}:{number}: unknown "
-                        f"CLI flag ({flag})"
-                    )
+            # the line is checked.
+            check_flags(number, line, line, 0)
             continue
         for match in _MD_LINK.finditer(line):
             target = match.group(1)
@@ -189,12 +226,7 @@ def check_file(path: Path, cli_flags: set[str]) -> list[str]:
                 )
         for match in _BACKTICK.finditer(line):
             content = match.group(1)
-            for flag in _FLAG.findall(content):
-                if flag not in cli_flags and flag not in _FLAG_ALLOWLIST:
-                    findings.append(
-                        f"{shown}:{number}: unknown "
-                        f"CLI flag ({flag})"
-                    )
+            check_flags(number, line, content, match.start(1))
             if _API_NAME.fullmatch(content) and not api_name_resolves(content):
                 findings.append(
                     f"{shown}:{number}: unknown API name "
